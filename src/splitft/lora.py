@@ -71,23 +71,21 @@ def adapted_forward(x: Matrix, W0: Matrix, adapter: LoraAdapter | None) -> Matri
     if adapter is not None:
         if adapter.d_i != W0.shape[0] or adapter.d_o != W0.shape[1]:
             raise ShapeError("adapter/weight mismatch", adapter.B.shape, W0.shape)
-        y = y + (x @ adapter.B) @ adapter.A
+        y += (x @ adapter.B) @ adapter.A
     return y
 
 
-def adapter_grads(x: Matrix, upstream_grad: Matrix, adapter: LoraAdapter) -> tuple[Matrix, Matrix]:
-    """Gradients of sum(upstream_grad * adapted_forward) w.r.t. (B, A)."""
-    if x.shape[0] != upstream_grad.shape[0]:
-        raise ShapeError("batch mismatch", x.shape, upstream_grad.shape)
-    xtg = x.T @ upstream_grad  # d_i x d_o contraction, shared by both factors
-    dB = xtg @ adapter.A.T
-    dA = adapter.B.T @ xtg
-    return dB, dA
+def adapter_grads(xtg: Matrix, adapter: LoraAdapter) -> tuple[Matrix, Matrix]:
+    """Gradients of sum(g * adapted_forward(x, ...)) w.r.t. (B, A), given the
+    d_i x d_o contraction xtg = x.T @ g, which is also the base weight's gradient."""
+    if xtg.shape != (adapter.d_i, adapter.d_o):
+        raise ShapeError("contraction/adapter mismatch", xtg.shape, (adapter.d_i, adapter.d_o))
+    return xtg @ adapter.A.T, adapter.B.T @ xtg
 
 
 def adapted_input_grad(upstream_grad: Matrix, W0: Matrix, adapter: LoraAdapter | None) -> Matrix:
     """Gradient w.r.t. x of adapted_forward, factored like the forward."""
     g = upstream_grad @ W0.T
     if adapter is not None:
-        g = g + (upstream_grad @ adapter.A.T) @ adapter.B.T
+        g += (upstream_grad @ adapter.A.T) @ adapter.B.T
     return g

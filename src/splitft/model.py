@@ -14,13 +14,14 @@ Hidden states cross module boundaries as 2-D matrices of shape
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from . import lora
 from .linalg import Matrix, ShapeError, check_finite, derive_seed, gaussian_init
 from .lora import LoraAdapter
-from .weights import SplitPoint, WeightId, all_weight_ids
+from .weights import SplitPoint, WeightId, all_weight_ids, block_weight_ids
 
 SIGMA_BASE = 0.02  # Gaussian std-dev of all frozen base weights
 LN_EPS = 1e-5
@@ -135,6 +136,31 @@ def _check_adapter_side(adapters: AdapterSet, split: SplitPoint, client: bool) -
             raise ValueError(f"adapter {wid} is not on the {side} side of split j={split.j}")
 
 
+@cache
+def _causal_keep(L: int) -> np.ndarray:
+    """Read-only (L, L) bool mask of the entries a causal row attends to."""
+    keep = np.tril(np.ones((L, L), dtype=bool))
+    keep.setflags(write=False)
+    return keep
+
+
+def _causal_softmax(scores: np.ndarray, dh: int) -> np.ndarray:
+    """Scaled causal softmax over the last axis, in place on ``scores``.
+
+    The row max is taken over attended entries only, and masked entries are
+    zeroed before ``exp`` so it never sees ``-inf``; the result equals that of
+    masking with ``-inf`` bit for bit.
+    """
+    keep = _causal_keep(scores.shape[-1])
+    scores /= np.sqrt(dh)
+    scores -= scores.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    scores *= keep
+    np.exp(scores, out=scores)
+    scores *= keep
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
 def _block_forward(
     params: ModelParams, adapters: AdapterSet, x: np.ndarray, block: int
 ) -> tuple[np.ndarray, BlockCache]:
@@ -144,26 +170,28 @@ def _block_forward(
     ln_y, ln_inv = _layer_norm(x)
     xn2 = ln_y.reshape(b * L, d)
 
-    proj = {
-        kind: lora.adapted_forward(xn2, params.attn[WeightId(block, kind)], adapters.get(WeightId(block, kind)))
-        for kind in ("Q", "K", "V")
-    }
-    q = _split_heads(proj["Q"], b, L, h, dh)
-    k = _split_heads(proj["K"], b, L, h, dh)
-    v = _split_heads(proj["V"], b, L, h, dh)
-
-    scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(dh)
-    mask = np.triu(np.ones((L, L), dtype=bool), k=1)
-    scores = np.where(mask, -np.inf, scores)
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    e = np.where(mask, 0.0, np.exp(scores))
-    p = e / e.sum(axis=-1, keepdims=True)
+    wq, wk, wv, wo = block_weight_ids(block)
+    q, k, v = (
+        _split_heads(lora.adapted_forward(xn2, params.attn[wid], adapters.get(wid)), b, L, h, dh)
+        for wid in (wq, wk, wv)
+    )
+    p = _causal_softmax(q @ k.transpose(0, 1, 3, 2), dh)
 
     ctx2 = _merge_heads(p @ v, b, L, d)
-    wid_o = WeightId(block, "O")
-    out2 = lora.adapted_forward(ctx2, params.attn[wid_o], adapters.get(wid_o))
+    out2 = lora.adapted_forward(ctx2, params.attn[wo], adapters.get(wo))
     y = x + out2.reshape(b, L, d)
     return y, BlockCache(x, xn2, ln_y, ln_inv, q, k, v, p, ctx2)
+
+
+def _weight_grads(
+    x2: Matrix, g2: Matrix, wid: WeightId, adapter: LoraAdapter | None,
+    adapter_grads: AdapterGrads, base_grads: BaseGrads,
+) -> None:
+    """Base gradient x2.T @ g2 of one weight; its adapter's (dB, dA) reuse it."""
+    xtg = x2.T @ g2
+    base_grads[wid] = xtg
+    if adapter is not None:
+        adapter_grads[wid] = lora.adapter_grads(xtg, adapter)
 
 
 def _block_backward(
@@ -174,38 +202,38 @@ def _block_backward(
     block: int,
     adapter_grads: AdapterGrads,
     base_grads: BaseGrads,
-) -> np.ndarray:
+    input_grad: bool = True,
+) -> np.ndarray | None:
+    """Fill the block's weight gradients; return the gradient w.r.t. its
+    input, or None when ``input_grad`` is false and nothing needs it."""
     cfg = params.config
     b, L, d = cache.x.shape
     h, dh = cfg.n_heads, cfg.d_head
+    wq, wk, wv, wo = block_weight_ids(block)
 
     d_out2 = dy.reshape(b * L, d)
-    wid_o = WeightId(block, "O")
-    base_grads[wid_o] = cache.ctx2.T @ d_out2
-    ad_o = adapters.get(wid_o)
-    if ad_o is not None:
-        adapter_grads[wid_o] = lora.adapter_grads(cache.ctx2, d_out2, ad_o)
-    d_ctx = _split_heads(lora.adapted_input_grad(d_out2, params.attn[wid_o], ad_o), b, L, h, dh)
+    ad_o = adapters.get(wo)
+    _weight_grads(cache.ctx2, d_out2, wo, ad_o, adapter_grads, base_grads)
+    d_ctx = _split_heads(lora.adapted_input_grad(d_out2, params.attn[wo], ad_o), b, L, h, dh)
 
-    dp = d_ctx @ cache.v.transpose(0, 1, 3, 2)
+    # Softmax backward in place: ds = p * (dp - sum(dp * p)) / sqrt(dh).
+    ds = d_ctx @ cache.v.transpose(0, 1, 3, 2)
     dv = cache.p.transpose(0, 1, 3, 2) @ d_ctx
-    ds = cache.p * (dp - (dp * cache.p).sum(axis=-1, keepdims=True))
+    ds -= (ds * cache.p).sum(axis=-1, keepdims=True)
+    ds *= cache.p
     ds /= np.sqrt(dh)
     dq = ds @ cache.k
     dk = ds.transpose(0, 1, 3, 2) @ cache.q
 
+    qkv = tuple(zip((wq, wk, wv), (_merge_heads(g, b, L, d) for g in (dq, dk, dv))))
+    for wid, g2 in qkv:
+        _weight_grads(cache.xn2, g2, wid, adapters.get(wid), adapter_grads, base_grads)
+    if not input_grad:
+        return None
     dxn2 = np.zeros((b * L, d))
-    for kind, g in (("Q", dq), ("K", dk), ("V", dv)):
-        wid = WeightId(block, kind)
-        g2 = _merge_heads(g, b, L, d)
-        base_grads[wid] = cache.xn2.T @ g2
-        ad = adapters.get(wid)
-        if ad is not None:
-            adapter_grads[wid] = lora.adapter_grads(cache.xn2, g2, ad)
-        dxn2 += lora.adapted_input_grad(g2, params.attn[wid], ad)
-
-    dxn = dxn2.reshape(b, L, d)
-    return dy + _layer_norm_backward(dxn, cache.ln_y, cache.ln_inv)
+    for wid, g2 in qkv:
+        dxn2 += lora.adapted_input_grad(g2, params.attn[wid], adapters.get(wid))
+    return dy + _layer_norm_backward(dxn2.reshape(b, L, d), cache.ln_y, cache.ln_inv)
 
 
 def forward_client(
@@ -299,8 +327,11 @@ def backward_client(
     dx = cut_activation_grad.reshape(b, L, cfg.d_model)
     adapter_grads: AdapterGrads = {}
     base_grads: BaseGrads = {}
+    # Block 0's input is the frozen embedding, so its input gradient is skipped.
     for blk in range(client_cache.split.j - 1, -1, -1):
-        dx = _block_backward(params, adapters, dx, client_cache.blocks[blk], blk, adapter_grads, base_grads)
+        dx = _block_backward(
+            params, adapters, dx, client_cache.blocks[blk], blk, adapter_grads, base_grads, input_grad=blk > 0
+        )
     return adapter_grads, base_grads
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 # Trainable attention projections per block, in canonical tie-break order.
 KINDS = ("Q", "K", "V", "O")
@@ -42,5 +43,11 @@ class SplitPoint:
         return wid.block < self.j
 
 
+@cache
+def block_weight_ids(block: int) -> tuple[WeightId, ...]:
+    """The canonical (Q, K, V, O) ids of one block, built once and shared."""
+    return tuple(WeightId(block, k) for k in KINDS)
+
+
 def all_weight_ids(n_blocks: int) -> list[WeightId]:
-    return [WeightId(b, k) for b in range(n_blocks) for k in KINDS]
+    return [wid for b in range(n_blocks) for wid in block_weight_ids(b)]

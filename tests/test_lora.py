@@ -80,7 +80,7 @@ def test_adapter_grads_match_materialized_route():
     x = rng.standard_normal((5, 7))
     g = rng.standard_normal((5, 9))
     ad = _random_adapter(7, 9, 3, 4)
-    dB, dA = lora.adapter_grads(x, g, ad)
+    dB, dA = lora.adapter_grads(x.T @ g, ad)
     dW_eff = x.T @ g
     assert np.allclose(dB, dW_eff @ ad.A.T, atol=1e-12)
     assert np.allclose(dA, ad.B.T @ dW_eff, atol=1e-12)
@@ -91,7 +91,7 @@ def test_adapter_grads_finite_difference():
     x = rng.standard_normal((3, 4))
     g = rng.standard_normal((3, 4))
     ad = _random_adapter(4, 4, 2, 7)
-    dB, dA = lora.adapter_grads(x, g, ad)
+    dB, dA = lora.adapter_grads(x.T @ g, ad)
     h = 1e-6
 
     def f():

@@ -152,3 +152,160 @@ def test_merge_update():
     assert np.array_equal(out, np.eye(3) + 1)
     with pytest.raises(ShapeError):
         model.merge_update(W, np.ones((2, 3)))
+
+
+# The attention formulas as first written (a fresh -inf mask per call, exp
+# over the masked entries, out-of-place softmax and its backward, and the
+# x.T @ g contraction formed again for each adapter). The in-place rewrite
+# in model.py must reproduce them bit for bit, not just to a tolerance.
+
+
+def _original_softmax(raw_scores, dh):
+    L = raw_scores.shape[-1]
+    scores = raw_scores / np.sqrt(dh)
+    mask = np.triu(np.ones((L, L), dtype=bool), k=1)
+    scores = np.where(mask, -np.inf, scores)
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    e = np.where(mask, 0.0, np.exp(scores))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _original_softmax_backward(dp, p, dh):
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    ds /= np.sqrt(dh)
+    return ds
+
+
+def _original_run(params, adapters, tokens):
+    """Unsplit forward and backward with the original formulas. Returns the
+    logits, loss, per-block inputs and probabilities, the final hidden
+    state, per-block input gradients (block 0's included) and all weight
+    gradients."""
+    cfg = params.config
+    b, L = tokens.shape
+    d, h, dh = cfg.d_model, cfg.n_heads, cfg.d_head
+    x = params.tok_emb[tokens] + params.pos_emb[None, :L, :]
+    blocks = []
+    for blk in range(cfg.n_blocks):
+        ln_y, ln_inv = model._layer_norm(x)
+        xn2 = ln_y.reshape(b * L, d)
+        q, k, v = (
+            model._split_heads(
+                lora.adapted_forward(xn2, params.attn[WeightId(blk, kind)], adapters.get(WeightId(blk, kind))),
+                b, L, h, dh)
+            for kind in "QKV"
+        )
+        p = _original_softmax(q @ k.transpose(0, 1, 3, 2), dh)
+        ctx2 = model._merge_heads(p @ v, b, L, d)
+        wid_o = WeightId(blk, "O")
+        blocks.append((x, xn2, ln_y, ln_inv, q, k, v, p, ctx2))
+        x = x + lora.adapted_forward(ctx2, params.attn[wid_o], adapters.get(wid_o)).reshape(b, L, d)
+    final = x.reshape(b * L, d)
+    logits = final @ params.out_proj
+
+    n = b * L
+    targets = tokens.reshape(-1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    z = exps.sum(axis=1)
+    loss = float(np.mean(np.log(z) - shifted[np.arange(n), targets]))
+    dlogits = exps / z[:, None]
+    dlogits[np.arange(n), targets] -= 1.0
+    dlogits /= n
+    dx = (dlogits @ params.out_proj.T).reshape(b, L, d)
+
+    ad_grads, base_grads, dx_in = {}, {}, {}
+
+    def weight_grads(wid, x2, g2):
+        base_grads[wid] = x2.T @ g2
+        ad = adapters.get(wid)
+        if ad is not None:
+            ad_grads[wid] = ((x2.T @ g2) @ ad.A.T, ad.B.T @ (x2.T @ g2))
+
+    for blk in range(cfg.n_blocks - 1, -1, -1):
+        x_in, xn2, ln_y, ln_inv, q, k, v, p, ctx2 = blocks[blk]
+        d_out2 = dx.reshape(n, d)
+        wid_o = WeightId(blk, "O")
+        weight_grads(wid_o, ctx2, d_out2)
+        d_ctx = model._split_heads(
+            lora.adapted_input_grad(d_out2, params.attn[wid_o], adapters.get(wid_o)), b, L, h, dh)
+        dp = d_ctx @ v.transpose(0, 1, 3, 2)
+        dv = p.transpose(0, 1, 3, 2) @ d_ctx
+        ds = _original_softmax_backward(dp, p, dh)
+        dq = ds @ k
+        dk = ds.transpose(0, 1, 3, 2) @ q
+        dxn2 = np.zeros((n, d))
+        for kind, g in (("Q", dq), ("K", dk), ("V", dv)):
+            wid = WeightId(blk, kind)
+            g2 = model._merge_heads(g, b, L, d)
+            weight_grads(wid, xn2, g2)
+            dxn2 += lora.adapted_input_grad(g2, params.attn[wid], adapters.get(wid))
+        dx = dx + model._layer_norm_backward(dxn2.reshape(b, L, d), ln_y, ln_inv)
+        dx_in[blk] = dx.reshape(n, d)
+    return {
+        "logits": logits, "loss": loss, "final": final, "dx_in": dx_in,
+        "x": [blk[0] for blk in blocks], "p": [blk[7] for blk in blocks],
+        "ad_grads": ad_grads, "base_grads": base_grads,
+    }
+
+
+@pytest.mark.parametrize("dh", [16, 6])
+def test_causal_softmax_is_bit_identical_at_mid_shape(dh):
+    rng = np.random.default_rng(11)
+    raw = rng.standard_normal((4, 8, 64, 64)) * 3.0
+    want = _original_softmax(raw, dh)
+    got = model._causal_softmax(raw.copy(), dh)
+    assert np.array_equal(got, want)
+    assert not np.signbit(got).any()
+
+
+# d_head 6: dividing by sqrt(6) rounds, so the order of scaling and
+# shifting shows in the bits (sqrt(d_head) of 4 or 16 would hide it).
+EXACT_CFG = ModelConfig(n_blocks=4, d_model=12, n_heads=2, vocab_size=11, seq_len=5)
+
+
+# forward_server infers (batch, seq) from the row count, so the shorter
+# sequences run as a single one (batch 1) to reach the server intact.
+@pytest.mark.parametrize("L", [1, 3, EXACT_CFG.seq_len])
+@pytest.mark.parametrize("with_adapters", [True, False])
+def test_split_run_is_bit_identical_to_original_formulas(L, with_adapters):
+    cfg = EXACT_CFG
+    params = model.build_model(cfg, 9)
+    rng = np.random.default_rng(9)
+    adapters = {}
+    if with_adapters:
+        for i, wid in enumerate(params.attn):
+            ad = lora.new_adapter(wid, 3, cfg.d_model, cfg.d_model, derive_seed(9, i))
+            ad.B = 0.1 * rng.standard_normal(ad.B.shape)
+            adapters[wid] = ad
+    tokens = rng.integers(0, cfg.vocab_size, size=(2 if L == cfg.seq_len else 1, L))
+    ref = _original_run(params, adapters, tokens)
+    for j in (1, 3):
+        split = SplitPoint(j)
+        c_ads = {w: a for w, a in adapters.items() if split.client_side(w)}
+        s_ads = {w: a for w, a in adapters.items() if not split.client_side(w)}
+        acts, ccache = model.forward_client(params, c_ads, tokens, split)
+        logits, scache = model.forward_server(params, s_ads, acts, split)
+        loss, s_ad, s_base, cut = model.loss_and_grad_server(logits, tokens, scache, s_ads)
+        c_ad, c_base = model.backward_client(cut, ccache, c_ads)
+
+        assert np.array_equal(acts, ref["x"][j].reshape(acts.shape))
+        assert np.array_equal(scache.final_hidden, ref["final"])
+        assert np.array_equal(logits, ref["logits"])
+        assert loss == ref["loss"]
+        blocks = {**ccache.blocks, **scache.blocks}
+        assert sorted(blocks) == list(range(4))
+        for blk, bc in blocks.items():
+            assert np.array_equal(bc.x, ref["x"][blk])
+            assert np.array_equal(bc.p, ref["p"][blk])
+        assert np.array_equal(cut, ref["dx_in"][j])
+
+        ad_grads = {**c_ad, **s_ad}
+        base_grads = {**c_base, **s_base}
+        assert ad_grads.keys() == ref["ad_grads"].keys() == adapters.keys()
+        for wid, (dB, dA) in ad_grads.items():
+            assert np.array_equal(dB, ref["ad_grads"][wid][0])
+            assert np.array_equal(dA, ref["ad_grads"][wid][1])
+        assert base_grads.keys() == ref["base_grads"].keys()
+        for wid, g in base_grads.items():
+            assert np.array_equal(g, ref["base_grads"][wid])
