@@ -26,14 +26,6 @@ def gw_numerator(weights: Matrix, grads: Matrix) -> float:
     return float(np.abs(w * g).sum())
 
 
-def rngwp(numerator: float, cost: float) -> float:
-    if cost <= 0:
-        raise ValueError(f"cost must be positive, got {cost}")
-    if numerator < 0:
-        raise ValueError(f"numerator must be non-negative, got {numerator}")
-    return numerator / cost
-
-
 def balance(current: float, hist: float, t: int, T: int) -> float:
     """Blending weight toward the historical value.
 

@@ -28,22 +28,6 @@ def as_matrix(x) -> Matrix:
     return a
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul dimension mismatch", a.shape, b.shape)
-    return a @ b
-
-
-def axpy(alpha: float, x: Matrix, y: Matrix) -> Matrix:
-    x = as_matrix(x)
-    y = as_matrix(y)
-    if x.shape != y.shape:
-        raise ShapeError("axpy shape mismatch", x.shape, y.shape)
-    return alpha * x + y
-
-
 def derive_seed(*parts) -> int:
     """Fold an arbitrary tuple of ints/strings into a 64-bit sub-seed.
 

@@ -25,12 +25,13 @@ def ranks_string(ranks: dict[WeightId, int]) -> str:
 def write_csv(reports: Iterable[RoundReport], out: TextIO) -> None:
     out.write(",".join(COLUMNS) + "\n")
     for rep in reports:
+        ppls = rep.ppls
         for cid in sorted(rep.losses):
             row = (
                 str(rep.t),
                 str(cid),
                 _fmt(rep.losses[cid]),
-                _fmt(rep.ppls[cid]),
+                _fmt(ppls[cid]),
                 str(rep.split_j),
                 ranks_string(rep.client_ranks.get(cid, {})),
                 _fmt(rep.global_importance),
@@ -47,11 +48,3 @@ def emit_csv(reports: list[RoundReport], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         write_csv(reports, f)
 
-
-def write_importance_csv(snapshots: list[tuple[int, dict[WeightId, float]]], path: str) -> None:
-    """Optional side channel: per-round blended importance per weight."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("round,weight,blended_numerator\n")
-        for t, snap in snapshots:
-            for wid in sorted(snap, key=WeightId.sort_key):
-                f.write(f"{t},{wid},{_fmt(snap[wid])}\n")

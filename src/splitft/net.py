@@ -22,6 +22,15 @@ A final BARRIER with round == SHUTDOWN_ROUND ends the session. Matrices
 travel as float32, so both sides merge the float32-rounded aggregation
 delta (the server re-rounds its own copy through the codec) to keep the
 two copies of the base weights bit-identical.
+
+Both ends set TCP_NODELAY. The server writes small frames back to back
+(BARRIER then the next PLAN; AGG_UPDATE x m then BARRIER), and under
+Nagle's algorithm the second write waits for the peer's delayed ACK: that
+wait, not the arithmetic, used to set the round time.
+
+A round's ``duration_s`` is stamped by ``serve``'s loop around the whole
+round, teardown of its locals included, just as a caller of the in-process
+``run_round`` times it from outside.
 """
 
 from __future__ import annotations
@@ -40,9 +49,12 @@ from .orchestrator import (
     RoundReport,
     _check_budgets,
     _reconcile_adapters,
+    _round_budgets,
     init_state,
+    make_report,
     make_shard,
     plan_round,
+    summarize,
 )
 from .weights import SplitPoint, WeightId, all_weight_ids
 
@@ -51,6 +63,10 @@ SHUTDOWN_ROUND = 0xFFFFFFFF
 
 def _send(sock: socket.socket, msg: wire.WireMessage) -> None:
     sock.sendall(wire.encode_message(msg))
+
+
+def _no_delay(sock: socket.socket) -> None:
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def _recv(sock: socket.socket) -> wire.WireMessage:
@@ -85,6 +101,7 @@ def serve(config: ExperimentConfig, host: str, port: int) -> tuple[list[RoundRep
         try:
             while len(socks) < config.n_clients:
                 conn, _ = srv.accept()
+                _no_delay(conn)
                 hello = _recv(conn)
                 if hello.tag != wire.BARRIER:
                     raise wire.WireError(f"expected client hello BARRIER, got tag {hello.tag}")
@@ -92,32 +109,28 @@ def serve(config: ExperimentConfig, host: str, port: int) -> tuple[list[RoundRep
 
             reports = []
             for t in range(1, config.total_rounds + 1):
-                reports.append(_serve_round(state, socks, t, d, lr))
+                t0 = time.perf_counter()
+                rep = _serve_round(state, socks, t, d, lr)
+                rep.duration_s = time.perf_counter() - t0
+                reports.append(rep)
             for cid in sorted(socks):
                 _send(socks[cid], wire.WireMessage(wire.BARRIER, round=SHUTDOWN_ROUND, client_id=cid))
         finally:
             for conn in socks.values():
                 conn.close()
 
-    first, last = reports[0], reports[-1]
-    summary = {
-        "initial_mean_ppl": float(np.mean(list(first.ppls.values()))),
-        "final_mean_ppl": float(np.mean(list(last.ppls.values()))),
-        "final_ppl_per_client": {cid: last.ppls[cid] for cid in sorted(last.ppls)},
-        "replan_count": state.replan_count,
-        "budget_violations": state.budget_violations,
-    }
-    return reports, summary
+    return reports, summarize(state, reports)
 
 
 def _serve_round(state, socks, t: int, d: int, lr: float) -> RoundReport:
-    t0 = time.perf_counter()
+    """One round over every client socket; ``serve`` stamps its duration."""
     config = state.config
-    plan, delta_I, replanned, reason = plan_round(state, t)
+    budgets = _round_budgets(config, t)
+    plan, delta_I, replanned, reason = plan_round(state, t, budgets)
     if replanned:
         state.replan_count += 1
     state.plan = plan
-    _check_budgets(state, plan, t)
+    _check_budgets(state, plan, budgets)
     state.server.adapters = _reconcile_adapters(
         state.server.adapters, plan.server_assignment, d, (config.seed, "adapter", t, -1)
     )
@@ -142,7 +155,7 @@ def _serve_round(state, socks, t: int, d: int, lr: float) -> RoundReport:
         logits, scache = model.forward_server(
             state.params, state.server.adapters, acts_msg.matrices[0], plan.split
         )
-        tokens = _client_batch(config, cid, t)
+        tokens = _client_batch(state.clients[cid].shard, config.batch, t)
         loss, s_ad_grads, s_base_grads, cut_grad = model.loss_and_grad_server(
             logits, tokens, scache, state.server.adapters
         )
@@ -192,32 +205,16 @@ def _serve_round(state, socks, t: int, d: int, lr: float) -> RoundReport:
     for cid in sorted(socks):
         _send(socks[cid], wire.WireMessage(wire.BARRIER, round=t, client_id=cid, loss=losses[cid]))
 
-    return RoundReport(
-        t=t,
-        losses=losses,
-        ppls={cid: model.perplexity(v) for cid, v in losses.items()},
-        split_j=plan.split.j,
-        client_ranks={cid: dict(a) for cid, a in plan.client_assignments.items()},
-        server_ranks=dict(plan.server_assignment),
-        global_importance=plan.global_importance,
-        delta_I=delta_I,
-        tau=state.tau,
-        aggregated=agg_round,
-        replanned=replanned,
-        replan_reason=reason,
-        infeasible_clients=sorted(cid for cid, ok in plan.client_feasible.items() if not ok),
-        duration_s=time.perf_counter() - t0,
-    )
+    return make_report(state, t, plan, losses, delta_I, agg_round, replanned, reason, 0.0)
 
 
-def _client_batch(config: ExperimentConfig, client_id: int, t: int) -> np.ndarray:
-    """Batch of shard rows for client `client_id` at round t. Both sides can
-    compute this (the copy task's targets equal its inputs), so tokens never
-    travel on the wire."""
-    shard = make_shard(config, client_id)
+def _client_batch(shard: np.ndarray, batch: int, t: int) -> np.ndarray:
+    """Batch of a client's shard rows at round t. Both sides hold the shard
+    (built from the config seed), and the copy task's targets equal its
+    inputs, so tokens never travel on the wire."""
     n = shard.shape[0]
-    start = (t - 1) * config.batch
-    idx = [(start + i) % n for i in range(config.batch)]
+    start = (t - 1) * batch
+    idx = [(start + i) % n for i in range(batch)]
     return shard[idx]
 
 
@@ -229,6 +226,7 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
     rounds = 0
 
     with socket.create_connection((host, port)) as sock:
+        _no_delay(sock)
         _send(sock, wire.WireMessage(wire.BARRIER, round=0, client_id=client_id))
         while True:
             msg = _recv(sock)
@@ -243,7 +241,7 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
                 sim.adapters, assignment, config.model.d_model, (config.seed, "adapter", t, client_id)
             )
 
-            tokens = _client_batch(config, client_id, t)
+            tokens = _client_batch(sim.shard, config.batch, t)
             acts, cache = model.forward_client(params, sim.adapters, tokens, split)
             _send(sock, wire.WireMessage(
                 wire.ACTIVATIONS, client_id=client_id, n_samples=tokens.shape[0], matrices=(acts,)

@@ -70,11 +70,14 @@ class ServerSim:
     adapters: AdapterSet = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundReport:
+    """One round's outcome. Callers keep every report, so it stores only
+    what cannot be derived: perplexities come from the losses, and rank
+    mappings are shared with the previous report while they do not change."""
+
     t: int
     losses: dict[int, float]
-    ppls: dict[int, float]
     split_j: int
     client_ranks: dict[int, dict[WeightId, int]]
     server_ranks: dict[WeightId, int]
@@ -86,6 +89,10 @@ class RoundReport:
     replan_reason: str  # "", "initial", "threshold", "infeasible"
     infeasible_clients: list[int]
     duration_s: float
+
+    @property
+    def ppls(self) -> dict[int, float]:
+        return {cid: model.perplexity(v) for cid, v in self.losses.items()}
 
 
 @dataclass
@@ -102,6 +109,8 @@ class ExperimentState:
     last_numerators: dict[WeightId, float] = field(default_factory=dict)
     replan_count: int = 0
     budget_violations: int = 0
+    # The last reported (client, server) rank mappings, reused while unchanged.
+    report_ranks: tuple[dict, dict] = field(default_factory=lambda: ({}, {}))
 
 
 def init_state(config: ExperimentConfig) -> ExperimentState:
@@ -137,17 +146,20 @@ def _reconcile_adapters(
     return out
 
 
-def _round_budgets(config: ExperimentConfig, t: int) -> tuple[dict[int, float], float]:
+Budgets = tuple[dict[int, float], float]  # (client budgets by id, server budget)
+
+
+def _round_budgets(config: ExperimentConfig, t: int) -> Budgets:
     cb = {cid: budget_trace(config.client_budget, cid, t, config.seed) for cid in range(config.n_clients)}
     sb = budget_trace(config.server_budget, None, t, config.seed)
     return cb, sb
 
 
-def plan_round(state: ExperimentState, t: int) -> tuple[RoundPlan, float, bool, str]:
-    """Returns (plan, delta_I, replanned, reason)."""
+def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundPlan, float, bool, str]:
+    """Returns (plan, delta_I, replanned, reason) under the round's budgets."""
     config = state.config
     cm = config.cost_model()
-    client_budgets, server_budget = _round_budgets(config, t)
+    client_budgets, server_budget = budgets
 
     if t > 1 and state.last_numerators:
         state.table.update_round(state.last_numerators, t)
@@ -173,9 +185,9 @@ def plan_round(state: ExperimentState, t: int) -> tuple[RoundPlan, float, bool, 
     return rank_only, delta_I, False, ""
 
 
-def _check_budgets(state: ExperimentState, plan: RoundPlan, t: int) -> None:
+def _check_budgets(state: ExperimentState, plan: RoundPlan, budgets: Budgets) -> None:
     cm = state.config.cost_model()
-    client_budgets, server_budget = _round_budgets(state.config, t)
+    client_budgets, server_budget = budgets
     for cid, assignment in plan.client_assignments.items():
         if plan.client_feasible.get(cid, True):
             if planner.side_cost(plan.split, "client", assignment, cm) > client_budgets[cid]:
@@ -191,11 +203,12 @@ def run_round(state: ExperimentState, t: int) -> RoundReport:
     d = config.model.d_model
 
     # (1) importance refresh + planning
-    plan, delta_I, replanned, reason = plan_round(state, t)
+    budgets = _round_budgets(config, t)
+    plan, delta_I, replanned, reason = plan_round(state, t, budgets)
     if replanned:
         state.replan_count += 1
     state.plan = plan
-    _check_budgets(state, plan, t)
+    _check_budgets(state, plan, budgets)
 
     for client in state.clients:
         client.adapters = _reconcile_adapters(
@@ -268,13 +281,25 @@ def run_round(state: ExperimentState, t: int) -> RoundReport:
                 owners[cid].adapters[wid] = ad
         aggregated = True
 
+    return make_report(state, t, plan, losses, delta_I, aggregated, replanned, reason,
+                       time.perf_counter() - t0)
+
+
+def make_report(
+    state: ExperimentState, t: int, plan: RoundPlan, losses: dict[int, float], delta_I: float,
+    aggregated: bool, replanned: bool, reason: str, duration_s: float,
+) -> RoundReport:
+    prev_client, prev_server = state.report_ranks
+    client_ranks = (prev_client if prev_client == plan.client_assignments
+                    else {cid: dict(a) for cid, a in plan.client_assignments.items()})
+    server_ranks = prev_server if prev_server == plan.server_assignment else dict(plan.server_assignment)
+    state.report_ranks = client_ranks, server_ranks
     return RoundReport(
         t=t,
         losses=losses,
-        ppls={cid: model.perplexity(v) for cid, v in losses.items()},
         split_j=plan.split.j,
-        client_ranks={cid: dict(a) for cid, a in plan.client_assignments.items()},
-        server_ranks=dict(plan.server_assignment),
+        client_ranks=client_ranks,
+        server_ranks=server_ranks,
         global_importance=plan.global_importance,
         delta_I=delta_I,
         tau=state.tau,
@@ -282,19 +307,22 @@ def run_round(state: ExperimentState, t: int) -> RoundReport:
         replanned=replanned,
         replan_reason=reason,
         infeasible_clients=sorted(cid for cid, ok in plan.client_feasible.items() if not ok),
-        duration_s=time.perf_counter() - t0,
+        duration_s=duration_s,
     )
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list[RoundReport], dict]:
     state = init_state(config)
     reports = [run_round(state, t) for t in range(1, config.total_rounds + 1)]
-    first, last = reports[0], reports[-1]
-    summary = {
-        "initial_mean_ppl": float(np.mean(list(first.ppls.values()))),
-        "final_mean_ppl": float(np.mean(list(last.ppls.values()))),
-        "final_ppl_per_client": {cid: last.ppls[cid] for cid in sorted(last.ppls)},
+    return reports, summarize(state, reports)
+
+
+def summarize(state: ExperimentState, reports: list[RoundReport]) -> dict:
+    first, last = reports[0].ppls, reports[-1].ppls
+    return {
+        "initial_mean_ppl": float(np.mean(list(first.values()))),
+        "final_mean_ppl": float(np.mean(list(last.values()))),
+        "final_ppl_per_client": {cid: last[cid] for cid in sorted(last)},
         "replan_count": state.replan_count,
         "budget_violations": state.budget_violations,
     }
-    return reports, summary

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitft import importance
-from splitft.importance import ImportanceRecord, ImportanceTable, balance, gw_numerator, rngwp, update
+from splitft.importance import ImportanceRecord, ImportanceTable, balance, gw_numerator, update
 from splitft.linalg import ShapeError
 from splitft.weights import WeightId
 
@@ -21,14 +21,6 @@ def test_gw_numerator_definition():
 def test_gw_numerator_shape_check():
     with pytest.raises(ShapeError):
         gw_numerator(np.ones((2, 2)), np.ones((2, 3)))
-
-
-def test_rngwp_division_and_errors():
-    assert rngwp(6.0, 3.0) == 2.0
-    with pytest.raises(ValueError):
-        rngwp(1.0, 0.0)
-    with pytest.raises(ValueError):
-        rngwp(-1.0, 2.0)
 
 
 def test_balance_analytic_values():

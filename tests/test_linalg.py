@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from splitft.linalg import (
     Matrix,
     ShapeError,
     as_matrix,
-    axpy,
     check_finite,
     derive_seed,
     gaussian_init,
-    matmul,
 )
 
 
@@ -46,29 +43,9 @@ def test_gaussian_init_rejects_bad_args():
         gaussian_init(2, 2, -1.0, 1)
 
 
-def test_matmul_shape_check():
-    with pytest.raises(ShapeError):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-    out = matmul(np.ones((2, 3)), np.ones((3, 4)))
-    assert out.shape == (2, 4)
-
-
 def test_as_matrix_rejects_non_2d():
     with pytest.raises(ShapeError):
         as_matrix(np.ones(3))
-
-
-@given(st.integers(1, 6), st.integers(1, 6), st.floats(-10, 10))
-def test_axpy_matches_definition(r, c, alpha):
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((r, c))
-    y = rng.standard_normal((r, c))
-    assert np.allclose(axpy(alpha, x, y), alpha * x + y)
-
-
-def test_axpy_shape_check():
-    with pytest.raises(ShapeError):
-        axpy(1.0, np.ones((2, 2)), np.ones((2, 3)))
 
 
 def test_check_finite():

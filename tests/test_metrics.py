@@ -13,7 +13,6 @@ def _report(t=1, cids=(0,), aggregated=False):
     return RoundReport(
         t=t,
         losses={c: 1.5 + c for c in cids},
-        ppls={c: float(np.exp(1.5 + c)) for c in cids},
         split_j=1,
         client_ranks={c: {WeightId(0, "Q"): 4, WeightId(0, "V"): 2} for c in cids},
         server_ranks={WeightId(1, "Q"): 8},

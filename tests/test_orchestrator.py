@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from splitft import lora, orchestrator
+from splitft import lora, model, orchestrator
 from splitft.config import BudgetSpec, ExperimentConfig
 from splitft.orchestrator import budget_trace, init_state, make_shard, run_experiment, run_round
 from splitft.weights import WeightId
@@ -119,3 +119,44 @@ def test_haa_aggregator_requires_homogeneous_ranks_to_run():
     cfg = replace(SMALL, aggregator="haa", rank_set=(4,), total_rounds=3, agg_period=3)
     reports, _ = run_experiment(cfg)
     assert reports[-1].aggregated
+
+
+def test_round_reports_are_lean():
+    state = init_state(SMALL)
+    reports = [run_round(state, t) for t in range(1, SMALL.total_rounds + 1)]
+    shared = 0
+    for prev, rep in zip(reports, reports[1:]):
+        assert not hasattr(rep, "__dict__")
+        if rep.client_ranks == prev.client_ranks:
+            assert rep.client_ranks is prev.client_ranks
+            shared += 1
+        if rep.server_ranks == prev.server_ranks:
+            assert rep.server_ranks is prev.server_ranks
+    assert shared  # the planner kept the ranks at least once
+    for rep in reports:
+        for cid, loss in rep.losses.items():
+            assert rep.ppls[cid] == model.perplexity(loss)
+
+
+def test_report_ranks_are_copies_of_the_plan():
+    state = init_state(SMALL)
+    rep = run_round(state, 1)
+    for cid, a in state.plan.client_assignments.items():
+        assert rep.client_ranks[cid] == a and rep.client_ranks[cid] is not a
+    assert rep.server_ranks == state.plan.server_assignment
+    assert rep.server_ranks is not state.plan.server_assignment
+
+
+def test_budgets_are_drawn_once_per_round(monkeypatch):
+    calls = []
+
+    def counting(spec, client_id, t, seed):
+        calls.append((client_id, t))
+        return budget_trace(spec, client_id, t, seed)
+
+    monkeypatch.setattr(orchestrator, "budget_trace", counting)
+    state = init_state(SMALL)
+    for t in (1, 2):
+        run_round(state, t)
+    # One draw per client and one for the server (None) per round.
+    assert calls == [(cid, t) for t in (1, 2) for cid in [*range(SMALL.n_clients), None]]
