@@ -21,13 +21,6 @@ class ShapeError(ValueError):
         self.shapes = shapes
 
 
-def as_matrix(x) -> Matrix:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
 def derive_seed(*parts) -> int:
     """Fold an arbitrary tuple of ints/strings into a 64-bit sub-seed.
 

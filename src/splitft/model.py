@@ -88,7 +88,6 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
 
 @dataclass
 class BlockCache:
-    x: np.ndarray  # (b, L, d) block input
     xn2: Matrix  # (b*L, d) normalized input, fed to Q/K/V
     ln_y: np.ndarray  # (b, L, d) same values as xn2, 3-D view for LN backward
     ln_inv: np.ndarray  # (b, L, 1) 1/sqrt(var+eps)
@@ -105,7 +104,7 @@ class ActivationCache:
     batch: int
     seq: int
     split: SplitPoint
-    blocks: dict[int, BlockCache] = field(default_factory=dict)
+    blocks: dict[int, BlockCache] = field(default_factory=dict)  # emptied by the backward
     final_hidden: Matrix | None = None  # server side only, input to the vocab head
 
 
@@ -180,7 +179,7 @@ def _block_forward(
     ctx2 = _merge_heads(p @ v, b, L, d)
     out2 = lora.adapted_forward(ctx2, params.attn[wo], adapters.get(wo))
     y = x + out2.reshape(b, L, d)
-    return y, BlockCache(x, xn2, ln_y, ln_inv, q, k, v, p, ctx2)
+    return y, BlockCache(xn2, ln_y, ln_inv, q, k, v, p, ctx2)
 
 
 def _weight_grads(
@@ -207,7 +206,7 @@ def _block_backward(
     """Fill the block's weight gradients; return the gradient w.r.t. its
     input, or None when ``input_grad`` is false and nothing needs it."""
     cfg = params.config
-    b, L, d = cache.x.shape
+    b, L, d = cache.ln_y.shape
     h, dh = cfg.n_heads, cfg.d_head
     wq, wk, wv, wo = block_weight_ids(block)
 
@@ -287,6 +286,13 @@ def loss_and_grad_server(
     server_cache: ActivationCache,
     adapters: AdapterSet,
 ) -> tuple[float, AdapterGrads, BaseGrads, Matrix]:
+    """Mean cross-entropy of the logits, the server half's adapter and base
+    gradients, and the gradient at the cut.
+
+    The backward spends the cache: each block's activations are dropped from
+    ``server_cache.blocks`` as soon as its backward has run, so a cache can
+    be differentiated once.
+    """
     targets = np.asarray(targets).reshape(-1)
     n, V = logits.shape
     if targets.shape[0] != n:
@@ -311,7 +317,9 @@ def loss_and_grad_server(
     adapter_grads: AdapterGrads = {}
     base_grads: BaseGrads = {}
     for blk in range(cfg.n_blocks - 1, server_cache.split.j - 1, -1):
-        dx = _block_backward(params, adapters, dx, server_cache.blocks[blk], blk, adapter_grads, base_grads)
+        dx = _block_backward(
+            params, adapters, dx, server_cache.blocks.pop(blk), blk, adapter_grads, base_grads
+        )
     cut_grad = dx.reshape(n, cfg.d_model)
     return loss, adapter_grads, base_grads, check_finite(cut_grad, "cut gradient")
 
@@ -319,6 +327,8 @@ def loss_and_grad_server(
 def backward_client(
     cut_activation_grad: Matrix, client_cache: ActivationCache, adapters: AdapterSet
 ) -> tuple[AdapterGrads, BaseGrads]:
+    """The client half's adapter and base gradients from the cut gradient.
+    Like ``loss_and_grad_server``, it spends the cache block by block."""
     params = client_cache.params
     cfg = params.config
     b, L = client_cache.batch, client_cache.seq
@@ -330,7 +340,8 @@ def backward_client(
     # Block 0's input is the frozen embedding, so its input gradient is skipped.
     for blk in range(client_cache.split.j - 1, -1, -1):
         dx = _block_backward(
-            params, adapters, dx, client_cache.blocks[blk], blk, adapter_grads, base_grads, input_grad=blk > 0
+            params, adapters, dx, client_cache.blocks.pop(blk), blk, adapter_grads, base_grads,
+            input_grad=blk > 0,
         )
     return adapter_grads, base_grads
 

@@ -220,12 +220,13 @@ def _client_batch(shard: np.ndarray, batch: int, t: int) -> np.ndarray:
 
 def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -> int:
     """Connect to a serving peer and participate until shutdown. Returns the
-    number of rounds participated in."""
-    params = model.build_model(config.model, derive_seed(config.seed, "model"))
-    sim = ClientSim(client_id, make_shard(config, client_id))
-    rounds = 0
-
+    number of rounds participated in. The model and shard are built only
+    once connected, so a caller that retries a refused connect does not
+    rebuild them."""
     with socket.create_connection((host, port)) as sock:
+        params = model.build_model(config.model, derive_seed(config.seed, "model"))
+        sim = ClientSim(client_id, make_shard(config, client_id))
+        rounds = 0
         _no_delay(sock)
         _send(sock, wire.WireMessage(wire.BARRIER, round=0, client_id=client_id))
         while True:

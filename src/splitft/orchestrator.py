@@ -12,11 +12,35 @@ out fresh adapters.
 The server keeps one shared adapter set: gradients are accumulated across
 client batches within the round and applied as a single averaged step.
 Base weights change only through the aggregation merge.
+
+Clients are independent within step (2): each one's work reads the base
+weights and the server adapters and writes only that client's adapters. So
+step (2) runs in two lanes: the calling thread takes clients 0, 2, 4, ...
+and one worker thread, opened for the round, takes 1, 3, 5, ....
+- The calling thread reduces the results (losses, summed server adapter
+  gradients, importance numerators) strictly in client order, so every float
+  sum keeps its order and the outputs are bit-identical to running the
+  clients one after another.
+- A client's forward starts only after the previous client's forward has
+  returned. Forward halves thus run in client order, and the two lanes'
+  activation caches peak at different moments.
+- Lanes run only when a client's activations have at least
+  ``PARALLEL_MIN_ENTRIES`` entries (batch * seq_len * d_model) and the host
+  has two cores. Below that size the numpy calls are so short that handing
+  the interpreter lock back and forth costs more than the second core gives,
+  so the same per-client step runs inline.
+- A failing client step, in either lane, ends the round with its error.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 import time
+from collections import deque
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +50,7 @@ from .config import BudgetSpec, ExperimentConfig
 from .importance import ImportanceTable
 from .linalg import derive_seed
 from .lora import LoraAdapter
-from .model import AdapterSet, ModelParams
+from .model import AdapterGrads, AdapterSet, BaseGrads, ModelParams
 from .planner import RankSet, RoundPlan
 from .weights import SplitPoint, WeightId, all_weight_ids
 
@@ -197,6 +221,85 @@ def _check_budgets(state: ExperimentState, plan: RoundPlan, budgets: Budgets) ->
             state.budget_violations += 1
 
 
+# Lanes only when a client's activations have at least this many entries
+# (batch * seq_len * d_model); see the module docstring.
+PARALLEL_MIN_ENTRIES = 8192
+
+ClientResult = tuple[float, AdapterGrads, list[tuple[WeightId, float]]]
+
+
+def _numerators(params: ModelParams, base_grads: BaseGrads) -> list[tuple[WeightId, float]]:
+    return [(wid, importance.gw_numerator(params.attn[wid], g)) for wid, g in base_grads.items()]
+
+
+def _client_step(
+    state: ExperimentState, split: SplitPoint, turns: list[threading.Event], client: ClientSim
+) -> ClientResult:
+    """One client's share of a round: both forward halves, the loss, both
+    backward halves, the client's SGD step and its importance numerators.
+    Returns (loss, server adapter grads, numerators). It reads the base
+    weights and the server adapters and writes only the client's own state,
+    so steps of different clients may run at the same time. Its forward
+    starts only once the previous client's forward (both halves) has
+    returned: forward halves run in client order, and the activation caches
+    of two lanes peak at different moments."""
+    params, server_ads = state.params, state.server.adapters
+    cid = client.client_id
+    tokens = client.next_batch(state.config.batch)  # copy task: the targets are the tokens
+    if cid:
+        turns[cid - 1].wait()
+    try:
+        acts, ccache = model.forward_client(params, client.adapters, tokens, split)
+        logits, scache = model.forward_server(params, server_ads, acts, split)
+    finally:
+        turns[cid].set()
+    loss, s_ad_grads, base_grads, cut_grad = model.loss_and_grad_server(logits, tokens, scache, server_ads)
+    numerators = _numerators(params, base_grads)
+    del base_grads  # the server's d x d grads are not kept through the client backward
+    c_ad_grads, base_grads = model.backward_client(cut_grad, ccache, client.adapters)
+    lr = state.config.learning_rate
+    for wid, (dB, dA) in c_ad_grads.items():
+        ad = client.adapters[wid]
+        ad.B = ad.B - lr * dB
+        ad.A = ad.A - lr * dA
+    return loss, s_ad_grads, numerators + _numerators(params, base_grads)
+
+
+def _client_results(state: ExperimentState, split: SplitPoint) -> Iterator[ClientResult]:
+    """Yield every client's step result in client order.
+
+    Above the size gate the steps run in two lanes: this thread runs clients
+    0, 2, 4, ... and one worker thread runs 1, 3, 5, .... Below it they run
+    inline. If a step raises, every pending turn is released and queued steps
+    are cancelled before the error propagates, so the round never hangs.
+    """
+    clients = state.clients
+    turns = [threading.Event() for _ in clients]
+    step = functools.partial(_client_step, state, split, turns)
+    mc = state.config.model
+    entries = state.config.batch * mc.seq_len * mc.d_model
+    if len(clients) < 2 or entries < PARALLEL_MIN_ENTRIES or (os.cpu_count() or 1) < 2:
+        yield from map(step, clients)
+        return
+    with ThreadPoolExecutor(1) as pool:
+        # Popped as consumed: a future keeps its result alive.
+        odd = deque(pool.submit(step, c) for c in clients[1::2])
+        try:
+            for i, client in enumerate(clients[0::2]):
+                mine = step(client)
+                if i:
+                    yield odd.popleft().result()
+                yield mine
+                del mine  # not held through the next step
+            if odd:
+                yield odd.popleft().result()
+        except BaseException:
+            for turn in turns:
+                turn.set()
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
 def run_round(state: ExperimentState, t: int) -> RoundReport:
     t0 = time.perf_counter()
     config = state.config
@@ -219,33 +322,19 @@ def run_round(state: ExperimentState, t: int) -> RoundReport:
         state.server.adapters, plan.server_assignment, d, (config.seed, "adapter", t, -1)
     )
 
-    # (2) forward/backward per client, SGD on adapters
+    # (2) forward/backward per client, SGD on adapters; results reduced in client order
     lr = config.learning_rate
     losses: dict[int, float] = {}
     numerators: dict[WeightId, float] = {w: 0.0 for w in all_weight_ids(config.model.n_blocks)}
     server_grad_acc: dict[WeightId, tuple] = {}
 
-    for client in state.clients:
-        tokens = client.next_batch(config.batch)
-        targets = tokens  # copy task
-        acts, ccache = model.forward_client(state.params, client.adapters, tokens, plan.split)
-        logits, scache = model.forward_server(state.params, state.server.adapters, acts, plan.split)
-        loss, s_ad_grads, s_base_grads, cut_grad = model.loss_and_grad_server(
-            logits, targets, scache, state.server.adapters
-        )
-        c_ad_grads, c_base_grads = model.backward_client(cut_grad, ccache, client.adapters)
-        losses[client.client_id] = loss
-
-        for wid, (dB, dA) in c_ad_grads.items():
-            ad = client.adapters[wid]
-            ad.B = ad.B - lr * dB
-            ad.A = ad.A - lr * dA
+    for cid, (loss, s_ad_grads, client_numerators) in enumerate(_client_results(state, plan.split)):
+        losses[cid] = loss
         for wid, (dB, dA) in s_ad_grads.items():
             acc = server_grad_acc.get(wid)
             server_grad_acc[wid] = (dB, dA) if acc is None else (acc[0] + dB, acc[1] + dA)
-        for grads in (c_base_grads, s_base_grads):
-            for wid, g in grads.items():
-                numerators[wid] += importance.gw_numerator(state.params.attn[wid], g)
+        for wid, v in client_numerators:
+            numerators[wid] += v
 
     n = len(state.clients)
     for wid, (dB, dA) in server_grad_acc.items():

@@ -4,7 +4,6 @@ import pytest
 from splitft.linalg import (
     Matrix,
     ShapeError,
-    as_matrix,
     check_finite,
     derive_seed,
     gaussian_init,
@@ -41,11 +40,6 @@ def test_gaussian_init_rejects_bad_args():
         gaussian_init(0, 3, 1.0, 1)
     with pytest.raises(ValueError):
         gaussian_init(2, 2, -1.0, 1)
-
-
-def test_as_matrix_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        as_matrix(np.ones(3))
 
 
 def test_check_finite():

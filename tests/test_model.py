@@ -178,9 +178,9 @@ def _original_softmax_backward(dp, p, dh):
 
 def _original_run(params, adapters, tokens):
     """Unsplit forward and backward with the original formulas. Returns the
-    logits, loss, per-block inputs and probabilities, the final hidden
-    state, per-block input gradients (block 0's included) and all weight
-    gradients."""
+    logits, loss, per-block inputs, normalised inputs and probabilities, the
+    final hidden state, per-block input gradients (block 0's included) and
+    all weight gradients."""
     cfg = params.config
     b, L = tokens.shape
     d, h, dh = cfg.d_model, cfg.n_heads, cfg.d_head
@@ -244,7 +244,7 @@ def _original_run(params, adapters, tokens):
         dx_in[blk] = dx.reshape(n, d)
     return {
         "logits": logits, "loss": loss, "final": final, "dx_in": dx_in,
-        "x": [blk[0] for blk in blocks], "p": [blk[7] for blk in blocks],
+        "x": [blk[0] for blk in blocks], "ln_y": [blk[2] for blk in blocks], "p": [blk[7] for blk in blocks],
         "ad_grads": ad_grads, "base_grads": base_grads,
     }
 
@@ -286,6 +286,8 @@ def test_split_run_is_bit_identical_to_original_formulas(L, with_adapters):
         s_ads = {w: a for w, a in adapters.items() if not split.client_side(w)}
         acts, ccache = model.forward_client(params, c_ads, tokens, split)
         logits, scache = model.forward_server(params, s_ads, acts, split)
+        # Read the block caches now: the backward calls spend them.
+        blocks = {**ccache.blocks, **scache.blocks}
         loss, s_ad, s_base, cut = model.loss_and_grad_server(logits, tokens, scache, s_ads)
         c_ad, c_base = model.backward_client(cut, ccache, c_ads)
 
@@ -293,10 +295,9 @@ def test_split_run_is_bit_identical_to_original_formulas(L, with_adapters):
         assert np.array_equal(scache.final_hidden, ref["final"])
         assert np.array_equal(logits, ref["logits"])
         assert loss == ref["loss"]
-        blocks = {**ccache.blocks, **scache.blocks}
         assert sorted(blocks) == list(range(4))
         for blk, bc in blocks.items():
-            assert np.array_equal(bc.x, ref["x"][blk])
+            assert np.array_equal(bc.ln_y, ref["ln_y"][blk])
             assert np.array_equal(bc.p, ref["p"][blk])
         assert np.array_equal(cut, ref["dx_in"][j])
 

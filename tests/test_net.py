@@ -5,6 +5,8 @@ import threading
 import time
 from dataclasses import replace
 
+import pytest
+
 from splitft import model, net, orchestrator, wire
 from splitft.config import ExperimentConfig
 
@@ -138,3 +140,14 @@ def test_tcp_reports_derive_ppls_and_batches_index_one_shard(monkeypatch):
         assert rep.duration_s > 0
         for cid, loss in rep.losses.items():
             assert rep.ppls[cid] == model.perplexity(loss)
+
+
+def test_refused_connect_builds_no_model_or_shard(monkeypatch):
+    builds = []
+    build_model, make_shard = model.build_model, net.make_shard
+    monkeypatch.setattr(model, "build_model", lambda *a: builds.append("model") or build_model(*a))
+    monkeypatch.setattr(net, "make_shard", lambda *a: builds.append("shard") or make_shard(*a))
+    port = _free_port()  # bound and closed again: nothing listens on it
+    with pytest.raises(ConnectionRefusedError):
+        net.run_client(SHORT, 0, HOST, port)
+    assert builds == []

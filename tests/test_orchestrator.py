@@ -1,8 +1,13 @@
-import numpy as np
-import pytest
+import io
+import sys
+import threading
+import time
 from dataclasses import replace
 
-from splitft import lora, model, orchestrator
+import numpy as np
+import pytest
+
+from splitft import lora, metrics, model, orchestrator
 from splitft.config import BudgetSpec, ExperimentConfig
 from splitft.orchestrator import budget_trace, init_state, make_shard, run_experiment, run_round
 from splitft.weights import WeightId
@@ -160,3 +165,127 @@ def test_budgets_are_drawn_once_per_round(monkeypatch):
         run_round(state, t)
     # One draw per client and one for the server (None) per round.
     assert calls == [(cid, t) for t in (1, 2) for cid in [*range(SMALL.n_clients), None]]
+
+
+def _client_of(state, adapters):
+    return next(c.client_id for c in state.clients if c.adapters is adapters)
+
+
+def _run_rounds(cfg):
+    state = init_state(cfg)
+    reports = [run_round(state, t) for t in range(1, cfg.total_rounds + 1)]
+    buf = io.StringIO()
+    metrics.write_csv(reports, buf)
+    return state, buf.getvalue()
+
+
+def test_lanes_and_inline_runs_are_bit_identical(monkeypatch):
+    cfg = replace(SMALL, n_clients=3, total_rounds=4, agg_period=2)
+    forward_client = model.forward_client
+    on_main = set()  # whether forward halves ran on the calling thread, a worker, or both
+
+    def recording(params, adapters, tokens, split):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return forward_client(params, adapters, tokens, split)
+
+    monkeypatch.setattr(model, "forward_client", recording)
+    runs = {}
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+        for lanes, gate in ((True, 0), (False, 10**12)):
+            monkeypatch.setattr(orchestrator, "PARALLEL_MIN_ENTRIES", gate)
+            on_main.clear()
+            runs[lanes] = _run_rounds(cfg)
+            assert on_main == ({True, False} if lanes else {True})
+    finally:
+        sys.setswitchinterval(switch)
+    (a, csv_a), (b, csv_b) = runs[True], runs[False]
+    assert csv_a == csv_b
+    for wid, W in b.params.attn.items():
+        assert np.array_equal(a.params.attn[wid], W)
+    for side_a, side_b in zip([*a.clients, a.server], [*b.clients, b.server]):
+        assert side_a.adapters.keys() == side_b.adapters.keys()
+        for wid, ad in side_b.adapters.items():
+            assert np.array_equal(side_a.adapters[wid].B, ad.B)
+            assert np.array_equal(side_a.adapters[wid].A, ad.A)
+
+
+def test_forward_halves_start_in_client_order_under_lanes(monkeypatch):
+    monkeypatch.setattr(orchestrator, "PARALLEL_MIN_ENTRIES", 0)
+    cfg = replace(SMALL, n_clients=5, total_rounds=3)
+    state = init_state(cfg)
+    forward_client = model.forward_client
+    order = []
+
+    def recording(params, adapters, tokens, split):
+        order.append(_client_of(state, adapters))
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.01)  # the worker lane would run ahead if nothing held it back
+        return forward_client(params, adapters, tokens, split)
+
+    monkeypatch.setattr(model, "forward_client", recording)
+    for t in range(1, cfg.total_rounds + 1):
+        order.clear()
+        run_round(state, t)
+        assert order == list(range(cfg.n_clients))
+
+
+@pytest.mark.parametrize("where, bad", [
+    ("forward_server", 1),  # worker lane
+    ("forward_server", 2),  # calling lane
+    ("backward_client", 2),  # calling lane, after the worker has moved on
+])
+def test_a_failing_client_step_ends_the_round(monkeypatch, where, bad):
+    monkeypatch.setattr(orchestrator, "PARALLEL_MIN_ENTRIES", 0)
+    cfg = replace(SMALL, n_clients=6, total_rounds=1)
+    state = init_state(cfg)
+    current = threading.local()  # the client whose step runs on this thread
+    forward_client, failing = model.forward_client, getattr(model, where)
+
+    def tagging(params, adapters, tokens, split):
+        current.cid = _client_of(state, adapters)
+        return forward_client(params, adapters, tokens, split)
+
+    def maybe_fail(*args):
+        if current.cid == bad:
+            time.sleep(0.2)  # let the other lane reach a wait on this lane
+            raise RuntimeError(f"client {bad} failed on {threading.current_thread().name}")
+        return failing(*args)
+
+    monkeypatch.setattr(model, "forward_client", tagging)
+    monkeypatch.setattr(model, where, maybe_fail)
+    outcome = {}
+
+    def target():
+        try:
+            run_round(state, 1)
+        except RuntimeError as e:
+            outcome["error"] = str(e)
+
+    caller = threading.Thread(target=target, name="caller", daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive(), "the round hung after a client step failed"
+    lane = "caller" if bad % 2 == 0 else "ThreadPoolExecutor"
+    assert outcome.get("error", "").startswith(f"client {bad} failed on {lane}")
+
+
+def test_a_round_spends_every_activation_cache(monkeypatch):
+    caches = []
+
+    def spy(name, cache_arg):
+        fn = getattr(model, name)
+
+        def wrapped(*args):
+            out = fn(*args)
+            caches.append(args[cache_arg])
+            return out
+
+        monkeypatch.setattr(model, name, wrapped)
+
+    spy("loss_and_grad_server", 2)
+    spy("backward_client", 1)
+    run_round(init_state(SMALL), 1)
+    assert len(caches) == 2 * SMALL.n_clients
+    assert all(cache.blocks == {} for cache in caches)
