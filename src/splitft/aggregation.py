@@ -105,3 +105,15 @@ def apply_and_reinit(
         cid: lora.reinit(ad, derive_seed(seed, "reinit", cid, weight_id.block, weight_id.kind))
         for cid, ad in adapters_for_weight.items()
     }
+
+
+def aggregate(uploads: list[AdapterUpload], aggregator: str, mode: str) -> dict[WeightId, Matrix]:
+    """One merged delta per uploaded weight, in weight order: ``haa``
+    averages equal-rank factors; ``naa`` concatenates them (``mode``)."""
+    by_wid: dict[WeightId, list[AdapterUpload]] = {}
+    for u in uploads:
+        by_wid.setdefault(u.weight_id, []).append(u)
+    return {
+        wid: haa_delta(by_wid[wid]) if aggregator == "haa" else naa_delta(by_wid[wid], mode)
+        for wid in sorted(by_wid, key=WeightId.sort_key)
+    }

@@ -1,4 +1,4 @@
-"""Synchronous split-federated training loop.
+"""Synchronous split-federated training: one round engine for every transport.
 
 Each round: (1) refresh the importance table from last round's gradients
 and re-plan (full split re-selection when the trigger fires or no plan
@@ -6,8 +6,16 @@ exists yet, otherwise a rank-only re-fit to the round's budgets); (2) every
 client runs its forward half, the server finishes the forward, computes
 loss and gradients, and both sides take one plain-SGD step on their
 adapters; (3) on aggregation rounds the fed server concatenates client
-uploads per weight, merges the exact delta into the frozen base, and hands
-out fresh adapters.
+uploads per weight, merges the exact delta into the frozen base, and every
+client re-initializes its merged adapters.
+
+``run_round`` is the only round engine. It drives a list of client ends,
+each with three calls: ``forward(split, assignment, t) -> acts``,
+``backward(cut_grad, t) -> (numerators, uploads)`` and ``finish(t, loss,
+merged)``. ``ClientSim`` is the in-process end and the default; ``net``
+plugs in a socket end with the same calls, whose remote peer drives its own
+``ClientSim`` from the frames it receives. Both sides cut round t's batch
+with ``client_batch`` from the shard they hold.
 
 The server keeps one shared adapter set: gradients are accumulated across
 client batches within the round and applied as a single averaged step.
@@ -49,8 +57,7 @@ from . import aggregation, importance, lora, model, planner
 from .config import BudgetSpec, ExperimentConfig
 from .importance import ImportanceTable
 from .linalg import derive_seed
-from .lora import LoraAdapter
-from .model import AdapterGrads, AdapterSet, BaseGrads, ModelParams
+from .model import ActivationCache, AdapterGrads, AdapterSet, BaseGrads, ModelParams
 from .planner import RankSet, RoundPlan
 from .weights import SplitPoint, WeightId, all_weight_ids
 
@@ -75,18 +82,59 @@ def budget_trace(spec: BudgetSpec, client_id: int | None, t: int, seed: int) -> 
     return spec.table[t]
 
 
+def client_batch(shard: np.ndarray, batch: int, t: int) -> np.ndarray:
+    """Round t's batch of a client's shard: ``batch`` rows from row
+    (t-1)*batch on, wrapping around. The copy task's targets are its inputs
+    and both sides hold the shard, so tokens never travel."""
+    n = shard.shape[0]
+    start = (t - 1) * batch
+    return shard[[(start + i) % n for i in range(batch)]]
+
+
 @dataclass
 class ClientSim:
+    """The in-process client end: one client's shard, adapters and base
+    weights (the server's own in process, a private copy over TCP).
+    ``forward`` keeps the activation cache that ``backward`` spends."""
+
     client_id: int
     shard: np.ndarray  # shard_size x seq_len token ids
+    params: ModelParams
+    config: ExperimentConfig
     adapters: AdapterSet = field(default_factory=dict)
-    cursor: int = 0
+    cache: ActivationCache | None = None
 
-    def next_batch(self, batch: int) -> np.ndarray:
-        n = self.shard.shape[0]
-        idx = [(self.cursor + i) % n for i in range(batch)]
-        self.cursor = (self.cursor + batch) % n
-        return self.shard[idx]
+    def forward(self, split: SplitPoint, assignment: dict[WeightId, int], t: int) -> np.ndarray:
+        cfg, cid = self.config, self.client_id
+        self.adapters = _reconcile_adapters(self.adapters, assignment, cfg.model.d_model, (cfg.seed, "adapter", t, cid))
+        acts, self.cache = model.forward_client(
+            self.params, self.adapters, client_batch(self.shard, cfg.batch, t), split
+        )
+        return acts
+
+    def backward(self, cut_grad: np.ndarray, t: int) -> tuple[Numerators, list[aggregation.AdapterUpload]]:
+        """The client's backward and SGD step; returns its importance
+        numerators and, on aggregation rounds, one upload per adapter."""
+        cfg = self.config
+        ad_grads, base_grads = model.backward_client(cut_grad, self.cache, self.adapters)
+        self.cache = None
+        for wid, (dB, dA) in ad_grads.items():
+            ad = self.adapters[wid]
+            ad.B = ad.B - cfg.learning_rate * dB
+            ad.A = ad.A - cfg.learning_rate * dA
+        uploads = []
+        if t % cfg.agg_period == 0:
+            uploads = [aggregation.AdapterUpload(self.client_id, wid, ad.B, ad.A, cfg.shard_size)
+                       for wid, ad in self.adapters.items()]
+        return _numerators(self.params, base_grads), uploads
+
+    def finish(self, t: int, loss: float, merged: dict[WeightId, np.ndarray]) -> None:
+        """Re-initialize every adapter whose weight was merged this round."""
+        agg_seed = derive_seed(self.config.seed, "agg", t)
+        for wid in merged:
+            if wid in self.adapters:
+                seed = derive_seed(agg_seed, "reinit", self.client_id, wid.block, wid.kind)
+                self.adapters[wid] = lora.reinit(self.adapters[wid], seed)
 
 
 @dataclass
@@ -140,7 +188,7 @@ class ExperimentState:
 def init_state(config: ExperimentConfig) -> ExperimentState:
     config.validate()
     params = model.build_model(config.model, derive_seed(config.seed, "model"))
-    clients = [ClientSim(cid, make_shard(config, cid)) for cid in range(config.n_clients)]
+    clients = [ClientSim(cid, make_shard(config, cid), params, config) for cid in range(config.n_clients)]
     table = ImportanceTable.for_model(config.model.n_blocks, config.total_rounds)
     return ExperimentState(
         config=config,
@@ -180,32 +228,32 @@ def _round_budgets(config: ExperimentConfig, t: int) -> Budgets:
 
 
 def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundPlan, float, bool, str]:
-    """Returns (plan, delta_I, replanned, reason) under the round's budgets."""
+    """Returns (plan, delta_I, replanned, reason) under the round's budgets.
+    Every candidate split is planned once; delta_I, the rank-only re-fit and
+    a re-selection all read those plans."""
     config = state.config
     cm = config.cost_model()
     client_budgets, server_budget = budgets
 
     if t > 1 and state.last_numerators:
         state.table.update_round(state.last_numerators, t)
-
+    plans = {
+        s: planner.plan_for_split(s, client_budgets, server_budget, state.table, state.rank_set, cm)
+        for s in state.split_set
+    }
     if state.plan is None:
-        plan = planner.select_split(state.split_set, client_budgets, server_budget, state.table, state.rank_set, cm)
-        return plan, 0.0, True, "initial"
+        return planner.best_plan(plans.values()), 0.0, True, "initial"
 
     current = state.plan.split
+    rank_only = plans[current]
     delta_I = 0.0
-    if len(state.split_set) >= 2:
-        delta_I = planner.delta_importance(
-            current, state.split_set, client_budgets, server_budget, state.table, state.rank_set, cm
-        )
+    if len(plans) >= 2:
+        delta_I = max(p.global_importance for s, p in plans.items() if s != current) - rank_only.global_importance
     state.tau = planner.threshold_update(state.tau, delta_I, config.epsilon)
 
-    rank_only = planner.plan_for_split(current, client_budgets, server_budget, state.table, state.rank_set, cm)
     feasible = rank_only.server_feasible and all(rank_only.client_feasible.values())
     if planner.decide_adjustment(delta_I, state.tau, feasible):
-        plan = planner.select_split(state.split_set, client_budgets, server_budget, state.table, state.rank_set, cm)
-        reason = "threshold" if feasible else "infeasible"
-        return plan, delta_I, True, reason
+        return planner.best_plan(plans.values()), delta_I, True, "threshold" if feasible else "infeasible"
     return rank_only, delta_I, False, ""
 
 
@@ -225,47 +273,41 @@ def _check_budgets(state: ExperimentState, plan: RoundPlan, budgets: Budgets) ->
 # (batch * seq_len * d_model); see the module docstring.
 PARALLEL_MIN_ENTRIES = 8192
 
-ClientResult = tuple[float, AdapterGrads, list[tuple[WeightId, float]]]
+Numerators = list[tuple[WeightId, float]]
+ClientResult = tuple[float, AdapterGrads, Numerators, list[aggregation.AdapterUpload]]
 
 
-def _numerators(params: ModelParams, base_grads: BaseGrads) -> list[tuple[WeightId, float]]:
+def _numerators(params: ModelParams, base_grads: BaseGrads) -> Numerators:
     return [(wid, importance.gw_numerator(params.attn[wid], g)) for wid, g in base_grads.items()]
 
 
-def _client_step(
-    state: ExperimentState, split: SplitPoint, turns: list[threading.Event], client: ClientSim
-) -> ClientResult:
-    """One client's share of a round: both forward halves, the loss, both
-    backward halves, the client's SGD step and its importance numerators.
-    Returns (loss, server adapter grads, numerators). It reads the base
-    weights and the server adapters and writes only the client's own state,
-    so steps of different clients may run at the same time. Its forward
-    starts only once the previous client's forward (both halves) has
-    returned: forward halves run in client order, and the activation caches
-    of two lanes peak at different moments."""
+def _client_step(state: ExperimentState, plan: RoundPlan, t: int, turns: list[threading.Event], end) -> ClientResult:
+    """One client's share of a round through its end: both forward halves,
+    the loss, both backward halves (the end takes its own SGD step) and the
+    importance numerators. Returns (loss, server adapter grads, numerators,
+    uploads). It reads the base weights and the server adapters and writes
+    only the client's own state, so steps of different clients may run at
+    the same time. Its forward starts only once the previous client's
+    forward (both halves) has returned: forward halves run in client order,
+    and the activation caches of two lanes peak at different moments."""
     params, server_ads = state.params, state.server.adapters
-    cid = client.client_id
-    tokens = client.next_batch(state.config.batch)  # copy task: the targets are the tokens
+    cid = end.client_id
     if cid:
         turns[cid - 1].wait()
     try:
-        acts, ccache = model.forward_client(params, client.adapters, tokens, split)
-        logits, scache = model.forward_server(params, server_ads, acts, split)
+        acts = end.forward(plan.split, plan.client_assignments[cid], t)
+        logits, scache = model.forward_server(params, server_ads, acts, plan.split)
     finally:
         turns[cid].set()
+    tokens = client_batch(state.clients[cid].shard, state.config.batch, t)  # copy task: targets are the tokens
     loss, s_ad_grads, base_grads, cut_grad = model.loss_and_grad_server(logits, tokens, scache, server_ads)
     numerators = _numerators(params, base_grads)
     del base_grads  # the server's d x d grads are not kept through the client backward
-    c_ad_grads, base_grads = model.backward_client(cut_grad, ccache, client.adapters)
-    lr = state.config.learning_rate
-    for wid, (dB, dA) in c_ad_grads.items():
-        ad = client.adapters[wid]
-        ad.B = ad.B - lr * dB
-        ad.A = ad.A - lr * dA
-    return loss, s_ad_grads, numerators + _numerators(params, base_grads)
+    client_numerators, uploads = end.backward(cut_grad, t)
+    return loss, s_ad_grads, numerators + client_numerators, uploads
 
 
-def _client_results(state: ExperimentState, split: SplitPoint) -> Iterator[ClientResult]:
+def _client_results(state: ExperimentState, plan: RoundPlan, t: int, ends: list) -> Iterator[ClientResult]:
     """Yield every client's step result in client order.
 
     Above the size gate the steps run in two lanes: this thread runs clients
@@ -273,20 +315,19 @@ def _client_results(state: ExperimentState, split: SplitPoint) -> Iterator[Clien
     inline. If a step raises, every pending turn is released and queued steps
     are cancelled before the error propagates, so the round never hangs.
     """
-    clients = state.clients
-    turns = [threading.Event() for _ in clients]
-    step = functools.partial(_client_step, state, split, turns)
+    turns = [threading.Event() for _ in ends]
+    step = functools.partial(_client_step, state, plan, t, turns)
     mc = state.config.model
     entries = state.config.batch * mc.seq_len * mc.d_model
-    if len(clients) < 2 or entries < PARALLEL_MIN_ENTRIES or (os.cpu_count() or 1) < 2:
-        yield from map(step, clients)
+    if len(ends) < 2 or entries < PARALLEL_MIN_ENTRIES or (os.cpu_count() or 1) < 2:
+        yield from map(step, ends)
         return
     with ThreadPoolExecutor(1) as pool:
         # Popped as consumed: a future keeps its result alive.
-        odd = deque(pool.submit(step, c) for c in clients[1::2])
+        odd = deque(pool.submit(step, e) for e in ends[1::2])
         try:
-            for i, client in enumerate(clients[0::2]):
-                mine = step(client)
+            for i, end in enumerate(ends[0::2]):
+                mine = step(end)
                 if i:
                     yield odd.popleft().result()
                 yield mine
@@ -300,10 +341,15 @@ def _client_results(state: ExperimentState, split: SplitPoint) -> Iterator[Clien
             raise
 
 
-def run_round(state: ExperimentState, t: int) -> RoundReport:
+def run_round(state: ExperimentState, t: int, clients: list | None = None, round_delta=None) -> RoundReport:
+    """One round over the client ends ``clients`` (``state.clients``, the
+    in-process ends, when None), one end per client in client order.
+    ``round_delta``, when given, maps every aggregated delta before the
+    server merges it and hands it to the ends: a transport that delivers a
+    rounded delta rounds the server's copy the same way."""
     t0 = time.perf_counter()
     config = state.config
-    d = config.model.d_model
+    ends = state.clients if clients is None else clients
 
     # (1) importance refresh + planning
     budgets = _round_budgets(config, t)
@@ -312,14 +358,8 @@ def run_round(state: ExperimentState, t: int) -> RoundReport:
         state.replan_count += 1
     state.plan = plan
     _check_budgets(state, plan, budgets)
-
-    for client in state.clients:
-        client.adapters = _reconcile_adapters(
-            client.adapters, plan.client_assignments[client.client_id], d,
-            (config.seed, "adapter", t, client.client_id),
-        )
     state.server.adapters = _reconcile_adapters(
-        state.server.adapters, plan.server_assignment, d, (config.seed, "adapter", t, -1)
+        state.server.adapters, plan.server_assignment, config.model.d_model, (config.seed, "adapter", t, -1)
     )
 
     # (2) forward/backward per client, SGD on adapters; results reduced in client order
@@ -327,16 +367,19 @@ def run_round(state: ExperimentState, t: int) -> RoundReport:
     losses: dict[int, float] = {}
     numerators: dict[WeightId, float] = {w: 0.0 for w in all_weight_ids(config.model.n_blocks)}
     server_grad_acc: dict[WeightId, tuple] = {}
+    uploads: list[aggregation.AdapterUpload] = []
 
-    for cid, (loss, s_ad_grads, client_numerators) in enumerate(_client_results(state, plan.split)):
+    results = _client_results(state, plan, t, ends)
+    for cid, (loss, s_ad_grads, client_numerators, client_uploads) in enumerate(results):
         losses[cid] = loss
         for wid, (dB, dA) in s_ad_grads.items():
             acc = server_grad_acc.get(wid)
             server_grad_acc[wid] = (dB, dA) if acc is None else (acc[0] + dB, acc[1] + dA)
         for wid, v in client_numerators:
             numerators[wid] += v
+        uploads += client_uploads
 
-    n = len(state.clients)
+    n = len(ends)
     for wid, (dB, dA) in server_grad_acc.items():
         ad = state.server.adapters[wid]
         ad.B = ad.B - lr * (dB / n)
@@ -344,31 +387,14 @@ def run_round(state: ExperimentState, t: int) -> RoundReport:
     state.last_numerators = numerators
 
     # (3) periodic fed-server aggregation of client-side adapters
-    aggregated = False
-    if t % config.agg_period == 0:
-        agg_seed = derive_seed(config.seed, "agg", t)
-        wids = sorted({w for c in state.clients for w in c.adapters}, key=WeightId.sort_key)
-        for wid in wids:
-            owners = {c.client_id: c for c in state.clients if wid in c.adapters}
-            uploads = [
-                aggregation.AdapterUpload(cid, wid, c.adapters[wid].B, c.adapters[wid].A, config.shard_size)
-                for cid, c in owners.items()
-            ]
-            if config.aggregator == "haa":
-                delta = aggregation.haa_delta(uploads)
-                state.params.attn[wid] = model.merge_update(state.params.attn[wid], delta)
-                fresh = {
-                    cid: lora.reinit(c.adapters[wid], derive_seed(agg_seed, "reinit", cid, wid.block, wid.kind))
-                    for cid, c in owners.items()
-                }
-            else:
-                delta = aggregation.naa_delta(uploads, config.agg_mode)
-                fresh = aggregation.apply_and_reinit(
-                    state.params, wid, delta, {cid: c.adapters[wid] for cid, c in owners.items()}, agg_seed
-                )
-            for cid, ad in fresh.items():
-                owners[cid].adapters[wid] = ad
-        aggregated = True
+    aggregated = t % config.agg_period == 0
+    merged = aggregation.aggregate(uploads, config.aggregator, config.agg_mode) if aggregated else {}
+    for wid, delta in merged.items():
+        if round_delta is not None:
+            delta = merged[wid] = round_delta(delta)
+        state.params.attn[wid] = model.merge_update(state.params.attn[wid], delta)
+    for cid, end in enumerate(ends):
+        end.finish(t, losses[cid], merged)
 
     return make_report(state, t, plan, losses, delta_I, aggregated, replanned, reason,
                        time.perf_counter() - t0)

@@ -14,6 +14,7 @@ split index, and weight ordering ties break by (block asc, Q<K<V<O).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .importance import ImportanceTable
@@ -53,16 +54,6 @@ class RankSet:
 
     def descending(self) -> tuple[int, ...]:
         return tuple(reversed(self.ranks))
-
-
-@dataclass(frozen=True)
-class Threshold:
-    tau: float = DEFAULT_TAU0
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        if self.tau <= 0 or self.epsilon <= 0:
-            raise ValueError("tau and epsilon must be positive")
 
 
 @dataclass
@@ -172,6 +163,11 @@ def plan_for_split(
     return RoundPlan(split, client_assignments, server_assignment, ig, client_feasible, server_feasible)
 
 
+def best_plan(plans: Iterable[RoundPlan]) -> RoundPlan:
+    """The plan of highest global importance; ties go to the smallest split index."""
+    return max(plans, key=lambda p: (p.global_importance, -p.split.j))
+
+
 def select_split(
     split_set: list[SplitPoint],
     client_budgets: dict[int, float],
@@ -182,35 +178,7 @@ def select_split(
 ) -> RoundPlan:
     if not split_set:
         raise ValueError("empty split candidate set")
-    plans = [plan_for_split(s, client_budgets, server_budget, table, Q, cost_model) for s in split_set]
-    best = plans[0]
-    for p in plans[1:]:
-        if p.global_importance > best.global_importance or (
-            p.global_importance == best.global_importance and p.split.j < best.split.j
-        ):
-            best = p
-    return best
-
-
-def delta_importance(
-    current_split: SplitPoint,
-    split_set: list[SplitPoint],
-    client_budgets: dict[int, float],
-    server_budget: float,
-    table: ImportanceTable,
-    Q: RankSet,
-    cost_model: CostModel,
-) -> float:
-    if len(split_set) < 2:
-        raise ValueError("need at least 2 candidate splits")
-    if current_split not in split_set:
-        raise ValueError(f"current split j={current_split.j} not in candidate set")
-    ig = {
-        s: plan_for_split(s, client_budgets, server_budget, table, Q, cost_model).global_importance
-        for s in split_set
-    }
-    best_other = max(ig[s] for s in split_set if s != current_split)
-    return best_other - ig[current_split]
+    return best_plan(plan_for_split(s, client_budgets, server_budget, table, Q, cost_model) for s in split_set)
 
 
 def threshold_update(tau_prev: float, delta_I: float, epsilon: float) -> float:

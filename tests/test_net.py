@@ -1,14 +1,18 @@
 """End-to-end check of the TCP transport against the in-process loop."""
 
+import io
 import socket
 import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from splitft import model, net, orchestrator, wire
+from splitft import metrics, model, net, orchestrator, wire
 from splitft.config import ExperimentConfig
+from splitft.linalg import derive_seed
+from splitft.weights import SplitPoint, WeightId, all_weight_ids
 
 HOST = "127.0.0.1"
 SHORT = replace(ExperimentConfig(), total_rounds=4, agg_period=2, n_clients=2, seed=3).validate()
@@ -118,7 +122,7 @@ def test_both_ends_set_tcp_nodelay(monkeypatch):
 
 
 def test_tcp_reports_derive_ppls_and_batches_index_one_shard(monkeypatch):
-    client_batch = net._client_batch
+    client_batch = orchestrator.client_batch
     shards = {}  # thread name -> the shard objects its batches were cut from
 
     def recording(shard, batch, t):
@@ -127,7 +131,7 @@ def test_tcp_reports_derive_ppls_and_batches_index_one_shard(monkeypatch):
             seen.append(shard)
         return client_batch(shard, batch, t)
 
-    monkeypatch.setattr(net, "_client_batch", recording)
+    monkeypatch.setattr(orchestrator, "client_batch", recording)
     reports, _ = _session(SHORT)
     # Every round indexes the shard each side already holds; none rebuilds it.
     assert len(shards.pop("server")) == SHORT.n_clients
@@ -151,3 +155,112 @@ def test_refused_connect_builds_no_model_or_shard(monkeypatch):
     with pytest.raises(ConnectionRefusedError):
         net.run_client(SHORT, 0, HOST, port)
     assert builds == []
+
+
+def test_tcp_lanes_and_inline_sessions_are_bit_identical(monkeypatch):
+    cfg = replace(SHORT, n_clients=3)
+    forward_server = model.forward_server
+    threads = set()  # names of the server threads that ran a client's server half
+
+    def recording(*args):
+        threads.add(threading.current_thread().name)
+        return forward_server(*args)
+
+    monkeypatch.setattr(model, "forward_server", recording)
+    csvs = {}
+    for lanes, gate in ((True, 0), (False, 10**12)):
+        monkeypatch.setattr(orchestrator, "PARALLEL_MIN_ENTRIES", gate)
+        threads.clear()
+        buf = io.StringIO()
+        metrics.write_csv(_session(cfg)[0], buf)
+        csvs[lanes] = buf.getvalue()
+        # One lane worker is opened per round, each with its own name.
+        assert {name.split("-")[0] for name in threads} == ({"server", "ThreadPoolExecutor"} if lanes else {"server"})
+    assert csvs[True] == csvs[False]
+
+
+@pytest.mark.parametrize("hello_ids", [(0, 0), (SHORT.n_clients,)], ids=["duplicate", "out-of-range"])
+def test_serve_rejects_a_bad_hello(hello_ids):
+    port = _free_port()
+    outcome = {}
+
+    def server():
+        try:
+            net.serve(SHORT, HOST, port)
+        except Exception as e:
+            outcome["error"] = e
+
+    th = threading.Thread(target=server, daemon=True)
+    th.start()
+    socks, deadline = [], time.perf_counter() + 10.0
+    try:
+        for cid in hello_ids:
+            while True:
+                try:
+                    sock = socket.create_connection((HOST, port))
+                    break
+                except ConnectionRefusedError:
+                    assert time.perf_counter() < deadline, "server never listened"
+                    time.sleep(0.001)
+            socks.append(sock)
+            sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=cid)))
+        th.join(timeout=10)
+    finally:
+        for sock in socks:
+            sock.close()
+    assert not th.is_alive(), "serve waited on after a bad hello"
+    assert isinstance(outcome.get("error"), net.ProtocolError)
+    assert f"client {hello_ids[-1]}" in str(outcome["error"])
+
+
+def test_server_and_clients_hold_identical_base_weights(monkeypatch):
+    built = {}  # thread name -> the base weights it built
+    build_model = model.build_model
+
+    def recording(*args):
+        built[threading.current_thread().name] = params = build_model(*args)
+        return params
+
+    monkeypatch.setattr(model, "build_model", recording)
+    reports, _ = _session(SHORT)
+    assert [r.aggregated for r in reports] == [False, True, False, True]
+    server = built.pop("server")
+    assert sorted(built) == [f"client-{cid}" for cid in range(SHORT.n_clients)]
+    fresh = build_model(SHORT.model, derive_seed(SHORT.seed, "model"))
+    assert any(not np.array_equal(W, fresh.attn[wid]) for wid, W in server.attn.items())  # merges happened
+    for params in built.values():
+        for wid, W in server.attn.items():
+            assert np.array_equal(params.attn[wid], W)
+
+
+@pytest.mark.parametrize("bad", [None, "activations-client-id", "barrier-round", "upload-rank"])
+def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
+    cfg, t, cid = SHORT, 2, 1  # round 2 aggregates
+    d, rows = cfg.model.d_model, cfg.batch * cfg.model.seq_len
+    plan = {WeightId(0, "Q"): 4, WeightId(0, "K"): 2}
+    uploaded = {**plan, WeightId(0, "K"): 4} if bad == "upload-rank" else plan
+    frames = [
+        wire.WireMessage(wire.ACTIVATIONS, client_id=0 if bad == "activations-client-id" else cid,
+                         n_samples=cfg.batch, matrices=(np.ones((rows, d)),)),
+        wire.WireMessage(wire.BARRIER, round=t + (bad == "barrier-round"), client_id=cid,
+                         matrices=(np.zeros((len(all_weight_ids(cfg.model.n_blocks)), 1)),)),
+        *(wire.WireMessage(wire.ADAPTER_UPLOAD, client_id=cid, weight_id=wid, n_samples=cfg.shard_size,
+                           matrices=(np.ones((d, r)), np.ones((r, d))))
+          for wid, r in sorted(uploaded.items(), key=lambda item: WeightId.sort_key(item[0]))),
+    ]
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        for msg in frames:  # the fake client's whole round is queued before the end reads any of it
+            theirs.sendall(wire.encode_message(msg))
+        end = net.RemoteClient(ours, cid, cfg)
+
+        def round_trip():
+            end.forward(SplitPoint(1), plan, t)
+            return end.backward(np.ones((rows, d)), t)
+
+        if bad is None:
+            _, uploads = round_trip()
+            assert [(u.weight_id, u.rank) for u in uploads] == list(end.ranks)
+        else:
+            with pytest.raises(net.ProtocolError):
+                round_trip()

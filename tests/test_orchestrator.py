@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitft import lora, metrics, model, orchestrator
+from splitft import lora, metrics, model, orchestrator, planner
 from splitft.config import BudgetSpec, ExperimentConfig
+from splitft.model import ModelConfig
 from splitft.orchestrator import budget_trace, init_state, make_shard, run_experiment, run_round
 from splitft.weights import WeightId
 
@@ -54,7 +55,7 @@ def test_budget_trace_scripted():
 def test_client_batches_cycle_through_the_shard():
     state = init_state(SMALL)
     c = state.clients[0]
-    seen = [c.next_batch(2) for _ in range(5)]
+    seen = [orchestrator.client_batch(c.shard, 2, t) for t in range(1, 6)]
     assert np.array_equal(seen[0], c.shard[[0, 1]])
     assert np.array_equal(seen[3], c.shard[[6, 7]])
     assert np.array_equal(seen[4], c.shard[[0, 1]])  # wrapped
@@ -289,3 +290,29 @@ def test_a_round_spends_every_activation_cache(monkeypatch):
     run_round(init_state(SMALL), 1)
     assert len(caches) == 2 * SMALL.n_clients
     assert all(cache.blocks == {} for cache in caches)
+
+
+def test_each_split_is_planned_once_per_round(monkeypatch):
+    mc = ModelConfig(n_blocks=4, d_model=16, n_heads=2, vocab_size=16, seq_len=8)
+    base = 1 * mc.seq_len * mc.d_model  # activation cost of one block
+    server = {t: 2.5 * base if t == 3 else 3 * base + 2000.0 for t in range(1, 6)}  # j=1 infeasible at t=3
+    cfg = replace(
+        SMALL, model=mc, batch=1, total_rounds=5, agg_period=5, seed=1,
+        client_budget=BudgetSpec("fixed", value=3 * base + 2000.0),
+        server_budget=BudgetSpec("scripted", table=server),
+    ).validate()
+    plan_for_split = planner.plan_for_split
+    calls = []
+
+    def counting(split, *args):
+        calls.append(split.j)
+        return plan_for_split(split, *args)
+
+    monkeypatch.setattr(planner, "plan_for_split", counting)
+    state = init_state(cfg)
+    reasons = []
+    for t in range(1, cfg.total_rounds + 1):
+        calls.clear()
+        reasons.append(run_round(state, t).replan_reason)
+        assert calls == [1, 2, 3]
+    assert reasons == ["initial", "", "infeasible", "", ""]  # select, re-fit and re-select paths all ran

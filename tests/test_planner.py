@@ -109,12 +109,6 @@ def test_decide_adjustment():
     assert planner.decide_adjustment(0.0, 0.1, False)  # infeasible forces a re-plan
 
 
-def test_delta_importance_requires_choices():
-    table = _table(2, {})
-    with pytest.raises(ValueError):
-        planner.delta_importance(SplitPoint(1), [SplitPoint(1)], {0: 1e9}, 1e9, table, RankSet((1,)), CM)
-
-
 def _random_instance(rng):
     n_blocks = int(rng.integers(2, 5))
     n_clients = int(rng.integers(1, 4))
