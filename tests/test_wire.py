@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -33,6 +34,52 @@ def test_round_trip_every_tag():
     rng = np.random.default_rng(0)
     for msg in _sample_messages(rng):
         assert wire.decode_message(wire.encode_message(msg)) == msg
+
+
+def _m(rows, cols):
+    return (np.arange(rows * cols, dtype=np.float64).reshape(rows, cols) - 3.0) / 4.0
+
+
+# sha256 of one frame per tag, taken from the codec before its layouts moved
+# into one table; any change to a frame's bytes must update these on purpose.
+PINNED_FRAMES = {
+    "ACTIVATIONS": (wire.WireMessage(wire.ACTIVATIONS, client_id=3, n_samples=17, matrices=(_m(4, 6),)),
+                    "81a132b8d9520ca1af13f727ec7ed62e21be3d8ada7f144c4838311ff56ae690"),
+    "CUT_GRAD": (wire.WireMessage(wire.CUT_GRAD, client_id=1, matrices=(_m(2, 8),)),
+                 "f679c9bc4d4d2e9ab724ace78e1e739f0ef5b10ec527a9bc5c4708272a43bcbb"),
+    "ADAPTER_UPLOAD": (wire.WireMessage(wire.ADAPTER_UPLOAD, client_id=2, weight_id=WeightId(1, "K"), n_samples=9,
+                                        matrices=(_m(8, 2), _m(2, 8))),
+                       "0df12cef87e8d88ef1deab088045faa1d47a91e5784ea7f93b14bddf1aef3f15"),
+    "AGG_UPDATE": (wire.WireMessage(wire.AGG_UPDATE, weight_id=WeightId(3, "O"), matrices=(_m(5, 5),)),
+                   "cddda67dc56123f301e79db9878cf3abeae0f1bf5ea2ae454f2dacd20a014637"),
+    "PLAN": (wire.WireMessage(wire.PLAN, client_id=4, split_j=2, seed=12345,
+                              ranks=((WeightId(0, "Q"), 4), (WeightId(1, "V"), 32), (WeightId(2, "O"), 1))),
+             "70433fd36376c4279bb876089f1ba3dfcb80840c7567cddac78704b41117c760"),
+    "PLAN-empty": (wire.WireMessage(wire.PLAN, client_id=0, split_j=1, seed=7),
+                   "3e878843b88600f91346bbbdc39445a319deb8cb6336e071f99a8235b8b624a4"),
+    "BARRIER-0": (wire.WireMessage(wire.BARRIER, round=7, client_id=1, loss=2.25),
+                  "84c94f91473c5765ae268b1809ce47489ff4ba49283189adc6a03dbdf50cbd44"),
+    "BARRIER-1": (wire.WireMessage(wire.BARRIER, round=0xFFFFFFFF, client_id=2, loss=-0.5, matrices=(_m(3, 1),)),
+                  "46468fcab056fedb9d61f42cb664f37debfcf5f4bd8cc2304c8b390dbdb32c94"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FRAMES))
+def test_every_tag_encodes_to_pinned_bytes(name):
+    msg, digest = PINNED_FRAMES[name]
+    data = wire.encode_message(msg)
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert wire.decode_message(data) == msg
+
+
+def test_plan_and_barrier_header_bytes():
+    plan, _ = PINNED_FRAMES["PLAN"]
+    assert wire.encode_message(plan).hex() == (
+        "21000000" "05" "04000000" "0200" "3930000000000000" "03000000"
+        "0000" "00" "0400" "0100" "02" "2000" "0200" "03" "0100")
+    barrier, _ = PINNED_FRAMES["BARRIER-0"]
+    assert wire.encode_message(barrier).hex() == (
+        "11000000" "06" "07000000" "01000000" "0000000000000240" "00")
 
 
 def test_framing_layout():
