@@ -50,8 +50,6 @@ def balance(current: float, hist: float, t: int, T: int) -> float:
 class ImportanceRecord:
     weight_id: WeightId
     blended_numerator: float = 0.0
-    current_numerator: float = 0.0
-    last_update_round: int = 0
 
 
 def update(record: ImportanceRecord, current_numerator: float, t: int, T: int) -> ImportanceRecord:
@@ -63,7 +61,7 @@ def update(record: ImportanceRecord, current_numerator: float, t: int, T: int) -
     else:
         g = balance(current_numerator, prev, t, T)
         blended = g * prev + (1.0 - g) * current_numerator
-    return ImportanceRecord(record.weight_id, blended, current_numerator, t)
+    return ImportanceRecord(record.weight_id, blended)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Low-rank adapter algebra: creation, delta, factored forward, gradients.
+"""Low-rank adapter algebra: creation, re-init, factored forward, gradients.
 
 An adapter for a frozen d_i x d_o weight W0 is the trainable pair
 (B: d_i x r, A: r x d_o); the effective weight is W0 + B A with no extra
@@ -37,13 +37,6 @@ class LoraAdapter:
     def d_o(self) -> int:
         return self.A.shape[1]
 
-    def validate(self) -> "LoraAdapter":
-        if self.B.shape != (self.d_i, self.r) or self.A.shape != (self.r, self.d_o):
-            raise ShapeError("inconsistent adapter factors", self.B.shape, self.A.shape)
-        if not 1 <= self.r <= min(self.d_i, self.d_o):
-            raise ValueError(f"rank {self.r} outside [1, {min(self.d_i, self.d_o)}]")
-        return self
-
 
 def new_adapter(weight_id: WeightId, r: int, d_i: int, d_o: int, seed: int) -> LoraAdapter:
     if not 1 <= r <= min(d_i, d_o):
@@ -57,10 +50,6 @@ def reinit(adapter: LoraAdapter, seed: int, r: int | None = None) -> LoraAdapter
     """Fresh (B=0, A Gaussian) adapter, optionally at a new rank."""
     rank = adapter.r if r is None else r
     return new_adapter(adapter.weight_id, rank, adapter.d_i, adapter.d_o, seed)
-
-
-def delta(adapter: LoraAdapter) -> Matrix:
-    return adapter.B @ adapter.A
 
 
 def adapted_forward(x: Matrix, W0: Matrix, adapter: LoraAdapter | None) -> Matrix:

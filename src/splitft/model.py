@@ -69,9 +69,6 @@ class ModelParams:
     attn: dict[WeightId, Matrix]  # d_model x d_model each; mutated only by merge_update
     out_proj: Matrix  # d_model x vocab, frozen
 
-    def weight(self, wid: WeightId) -> Matrix:
-        return self.attn[wid]
-
 
 def build_model(config: ModelConfig, seed: int) -> ModelParams:
     config.validate()

@@ -44,10 +44,10 @@ import time
 
 import numpy as np
 
-from . import aggregation, model, wire
+from . import aggregation, model, orchestrator, wire
 from .config import ExperimentConfig
 from .linalg import derive_seed
-from .orchestrator import ClientSim, RoundReport, init_state, make_shard, run_round, summarize
+from .orchestrator import ClientSim, RoundReport, init_state, make_shard, summarize
 from .weights import SplitPoint, WeightId, all_weight_ids
 
 SHUTDOWN_ROUND = 0xFFFFFFFF
@@ -130,7 +130,7 @@ def serve(config: ExperimentConfig, host: str, port: int) -> tuple[list[RoundRep
         reports = []
         for t in range(1, config.total_rounds + 1):
             t0 = time.perf_counter()
-            rep = run_round(state, t, clients, _round_f32)
+            rep = orchestrator.run_round(state, t, clients, _round_f32)
             rep.duration_s = time.perf_counter() - t0
             reports.append(rep)
         for end in clients:

@@ -396,14 +396,8 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
     for cid, end in enumerate(ends):
         end.finish(t, losses[cid], merged)
 
-    return make_report(state, t, plan, losses, delta_I, aggregated, replanned, reason,
-                       time.perf_counter() - t0)
-
-
-def make_report(
-    state: ExperimentState, t: int, plan: RoundPlan, losses: dict[int, float], delta_I: float,
-    aggregated: bool, replanned: bool, reason: str, duration_s: float,
-) -> RoundReport:
+    duration_s = time.perf_counter() - t0
+    # Reports share a rank mapping with the previous round's while it is unchanged.
     prev_client, prev_server = state.report_ranks
     client_ranks = (prev_client if prev_client == plan.client_assignments
                     else {cid: dict(a) for cid, a in plan.client_assignments.items()})

@@ -36,11 +36,6 @@ class CostModel:
     kappa_opt: float = 3.0
     beta_act: float = 1.0
 
-    def validate(self) -> "CostModel":
-        if self.kappa_opt <= 0 or self.beta_act <= 0:
-            raise ValueError("cost multipliers must be positive")
-        return self
-
 
 @dataclass(frozen=True)
 class RankSet:

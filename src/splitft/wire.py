@@ -5,6 +5,11 @@ Framing: [u32 LE payload length][u8 type tag][payload]. Matrices travel as
 values are float64, so the wire is lossy beyond float32 precision.
 Decoding never raises anything but WireError subclasses on malformed
 input.
+
+``_LAYOUT`` is the one place where payload layouts live: per tag, the
+fixed header's struct, the message fields it carries and its matrix
+count. ``encode_message`` and ``decode_message`` are each one pass over
+that table, so a layout change is an edit to its entry.
 """
 
 from __future__ import annotations
@@ -71,10 +76,36 @@ class WireMessage:
         )
 
 
+# The one declaration of every frame's payload: the fixed header's Struct,
+# the WireMessage fields it carries, and how many matrices follow it.
+# "block" and "kind" carry ``weight_id``. A header field named "ranks" counts
+# the (u16 block, u8 kind, u16 rank) entries that follow the header, and one
+# named "matrices" counts the matrices (the count column is then None).
+# Matrices come last, each as [u32 rows][u32 cols][rows*cols float32].
+_LAYOUT = {
+    ACTIVATIONS: (struct.Struct("<IQ"), ("client_id", "n_samples"), 1),
+    CUT_GRAD: (struct.Struct("<I"), ("client_id",), 1),
+    ADAPTER_UPLOAD: (struct.Struct("<IHBQ"), ("client_id", "block", "kind", "n_samples"), 2),
+    AGG_UPDATE: (struct.Struct("<HB"), ("block", "kind"), 1),
+    PLAN: (struct.Struct("<IHQI"), ("client_id", "split_j", "seed", "ranks"), 0),
+    BARRIER: (struct.Struct("<IIdB"), ("round", "client_id", "loss", "matrices"), None),
+}
+_FRAME = struct.Struct("<IB")
+_ENTRY = struct.Struct("<HBH")
+_DIMS = struct.Struct("<II")
+_COUNTS = ("ranks", "matrices")
+
+
+def _weight_id(block: int, code: int) -> WeightId:
+    if code >= len(KINDS):
+        raise WireError(f"bad weight kind code {code}")
+    return WeightId(block, KINDS[code])
+
+
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, pos: int):
         self.buf = buf
-        self.pos = 0
+        self.pos = pos
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
@@ -83,126 +114,72 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
 
     def matrix(self) -> np.ndarray:
-        rows, cols = self.u32(), self.u32()
+        rows, cols = self.unpack(_DIMS)
         if rows == 0 or cols == 0 or rows * cols > (MAX_FRAME // 4):
             raise WireError(f"bad matrix dims {rows}x{cols}")
         raw = self.take(rows * cols * 4)
         return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, cols)
 
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise LengthMismatchError(f"{len(self.buf) - self.pos} trailing payload bytes")
-
-
-def _enc_matrix(m: np.ndarray) -> bytes:
-    rows, cols = m.shape
-    return struct.pack("<II", rows, cols) + np.ascontiguousarray(m, dtype="<f4").tobytes()
-
-
-def _enc_weight_id(wid: WeightId) -> bytes:
-    return struct.pack("<HB", wid.block, _KIND_CODE[wid.kind])
-
-
-def _dec_weight_id(r: _Reader) -> WeightId:
-    block = r.u16()
-    code = r.u8()
-    if code >= len(KINDS):
-        raise WireError(f"bad weight kind code {code}")
-    return WeightId(block, KINDS[code])
-
 
 def encode_message(m: WireMessage) -> bytes:
-    if m.tag == ACTIVATIONS:
-        payload = struct.pack("<IQ", m.client_id, m.n_samples) + _enc_matrix(m.matrices[0])
-    elif m.tag == CUT_GRAD:
-        payload = struct.pack("<I", m.client_id) + _enc_matrix(m.matrices[0])
-    elif m.tag == ADAPTER_UPLOAD:
-        payload = (
-            struct.pack("<I", m.client_id)
-            + _enc_weight_id(m.weight_id)
-            + struct.pack("<Q", m.n_samples)
-            + _enc_matrix(m.matrices[0])
-            + _enc_matrix(m.matrices[1])
-        )
-    elif m.tag == AGG_UPDATE:
-        payload = _enc_weight_id(m.weight_id) + _enc_matrix(m.matrices[0])
-    elif m.tag == PLAN:
-        payload = struct.pack("<IHQI", m.client_id, m.split_j, m.seed, len(m.ranks))
-        for wid, r in m.ranks:
-            payload += _enc_weight_id(wid) + struct.pack("<H", r)
-    elif m.tag == BARRIER:
-        payload = struct.pack("<IId", m.round, m.client_id, m.loss)
-        payload += struct.pack("<B", len(m.matrices))
-        for mat in m.matrices:
-            payload += _enc_matrix(mat)
-    else:
-        raise UnknownTagError(f"unknown message tag {m.tag}")
-    return struct.pack("<IB", len(payload), m.tag) + payload
+    try:
+        header, fields, _ = _LAYOUT[m.tag]
+    except KeyError:
+        raise UnknownTagError(f"unknown message tag {m.tag}") from None
+    values = []
+    for f in fields:
+        if f == "block":
+            values += (m.weight_id.block, _KIND_CODE[m.weight_id.kind])
+        elif f in _COUNTS:
+            values.append(len(getattr(m, f)))
+        elif f != "kind":
+            values.append(getattr(m, f))
+    parts = [header.pack(*values)]
+    for wid, r in m.ranks:
+        parts.append(_ENTRY.pack(wid.block, _KIND_CODE[wid.kind], r))
+    for mat in m.matrices:
+        parts += (_DIMS.pack(*mat.shape), np.ascontiguousarray(mat, dtype="<f4").tobytes())
+    payload = b"".join(parts)
+    return _FRAME.pack(len(payload), m.tag) + payload
 
 
 def decode_message(data: bytes) -> WireMessage:
-    if len(data) < 5:
-        raise TruncatedError(f"frame header needs 5 bytes, have {len(data)}")
-    length, tag = struct.unpack("<IB", data[:5])
+    if len(data) < _FRAME.size:
+        raise TruncatedError(f"frame header needs {_FRAME.size} bytes, have {len(data)}")
+    length, tag = _FRAME.unpack_from(data)
     if length > MAX_FRAME:
         raise WireError(f"frame length {length} exceeds limit")
-    if len(data) - 5 != length:
-        raise LengthMismatchError(f"frame declares {length} payload bytes, have {len(data) - 5}")
-    r = _Reader(data[5:])
-    if tag == ACTIVATIONS:
-        cid, n = r.u32(), r.u64()
-        msg = WireMessage(tag, client_id=cid, n_samples=n, matrices=(r.matrix(),))
-    elif tag == CUT_GRAD:
-        cid = r.u32()
-        msg = WireMessage(tag, client_id=cid, matrices=(r.matrix(),))
-    elif tag == ADAPTER_UPLOAD:
-        cid = r.u32()
-        wid = _dec_weight_id(r)
-        n = r.u64()
-        B, A = r.matrix(), r.matrix()
-        if B.shape[1] != A.shape[0]:
-            raise WireError(f"upload rank mismatch {B.shape} vs {A.shape}")
-        msg = WireMessage(tag, client_id=cid, weight_id=wid, n_samples=n, matrices=(B, A))
-    elif tag == AGG_UPDATE:
-        wid = _dec_weight_id(r)
-        msg = WireMessage(tag, weight_id=wid, matrices=(r.matrix(),))
-    elif tag == PLAN:
-        cid, split_j, seed, count = r.u32(), r.u16(), r.u64(), r.u32()
-        if count > 65536:
-            raise WireError(f"implausible plan entry count {count}")
-        ranks = tuple((_dec_weight_id(r), r.u16()) for _ in range(count))
-        msg = WireMessage(tag, client_id=cid, split_j=split_j, seed=seed, ranks=ranks)
-    elif tag == BARRIER:
-        rnd, cid, loss = r.u32(), r.u32(), r.f64()
-        nmats = r.u8()
-        msg = WireMessage(tag, round=rnd, client_id=cid, loss=loss,
-                          matrices=tuple(r.matrix() for _ in range(nmats)))
-    else:
-        raise UnknownTagError(f"unknown message tag {tag}")
-    r.done()
-    return msg
+    if len(data) - _FRAME.size != length:
+        raise LengthMismatchError(f"frame declares {length} payload bytes, have {len(data) - _FRAME.size}")
+    try:
+        header, fields, n_matrices = _LAYOUT[tag]
+    except KeyError:
+        raise UnknownTagError(f"unknown message tag {tag}") from None
+    r = _Reader(data, _FRAME.size)
+    kw = dict(zip(fields, r.unpack(header)))
+    if "block" in kw:
+        kw["weight_id"] = _weight_id(kw.pop("block"), kw.pop("kind"))
+    if "ranks" in kw:
+        if kw["ranks"] > 65536:
+            raise WireError(f"implausible plan entry count {kw['ranks']}")
+        entries = _ENTRY.iter_unpack(r.take(_ENTRY.size * kw["ranks"]))
+        kw["ranks"] = tuple((_weight_id(block, code), rank) for block, code, rank in entries)
+    mats = kw["matrices"] = tuple(r.matrix() for _ in range(kw.get("matrices", n_matrices)))
+    if tag == ADAPTER_UPLOAD and mats[0].shape[1] != mats[1].shape[0]:
+        raise WireError(f"upload rank mismatch {mats[0].shape} vs {mats[1].shape}")
+    if r.pos != len(data):
+        raise LengthMismatchError(f"{len(data) - r.pos} trailing payload bytes")
+    return WireMessage(tag, **kw)
 
 
 def read_frame(sock) -> bytes:
     """Read one complete frame from a socket-like object with recv()."""
-    header = _recv_exact(sock, 5)
-    length = struct.unpack("<I", header[:4])[0]
+    header = _recv_exact(sock, _FRAME.size)
+    length = _FRAME.unpack(header)[0]
     if length > MAX_FRAME:
         raise WireError(f"frame length {length} exceeds limit")
     return header + _recv_exact(sock, length)

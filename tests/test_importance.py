@@ -56,7 +56,6 @@ def test_update_bootstrap_first_round():
     rec = ImportanceRecord(WID)
     out = update(rec, 3.0, 1, 10)
     assert out.blended_numerator == 3.0
-    assert out.last_update_round == 1
 
 
 def test_update_bootstrap_zero_history():

@@ -146,6 +146,18 @@ def test_tcp_reports_derive_ppls_and_batches_index_one_shard(monkeypatch):
             assert rep.ppls[cid] == model.perplexity(loss)
 
 
+def test_serve_runs_each_round_through_the_orchestrator_module(monkeypatch):
+    run_round, rounds = orchestrator.run_round, []
+
+    def recording(state, t, *args):
+        rounds.append(t)
+        return run_round(state, t, *args)
+
+    monkeypatch.setattr(orchestrator, "run_round", recording)
+    _session(SHORT)
+    assert rounds == list(range(1, SHORT.total_rounds + 1))
+
+
 def test_refused_connect_builds_no_model_or_shard(monkeypatch):
     builds = []
     build_model, make_shard = model.build_model, net.make_shard
