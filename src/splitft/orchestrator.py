@@ -397,7 +397,6 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
         end.finish(t, losses[cid], merged)
 
     duration_s = time.perf_counter() - t0
-    # Reports share a rank mapping with the previous round's while it is unchanged.
     prev_client, prev_server = state.report_ranks
     client_ranks = (prev_client if prev_client == plan.client_assignments
                     else {cid: dict(a) for cid, a in plan.client_assignments.items()})

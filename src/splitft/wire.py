@@ -93,7 +93,6 @@ _LAYOUT = {
 _FRAME = struct.Struct("<IB")
 _ENTRY = struct.Struct("<HBH")
 _DIMS = struct.Struct("<II")
-_COUNTS = ("ranks", "matrices")
 
 
 def _weight_id(block: int, code: int) -> WeightId:
@@ -134,7 +133,7 @@ def encode_message(m: WireMessage) -> bytes:
     for f in fields:
         if f == "block":
             values += (m.weight_id.block, _KIND_CODE[m.weight_id.kind])
-        elif f in _COUNTS:
+        elif f in ("ranks", "matrices"):
             values.append(len(getattr(m, f)))
         elif f != "kind":
             values.append(getattr(m, f))
