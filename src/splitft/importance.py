@@ -18,12 +18,14 @@ from .linalg import Matrix, ShapeError
 from .weights import WeightId, all_weight_ids
 
 
-def gw_numerator(weights: Matrix, grads: Matrix) -> float:
+def gw_numerator(weights: Matrix, grads: np.ndarray) -> float | list[float]:
+    """sum(|w * g|) of one gradient, or one sum per client of a (C, d_i, d_o)
+    stack of gradients; each sum is that of the client's own matrix."""
     w = np.asarray(weights, dtype=np.float64)
     g = np.asarray(grads, dtype=np.float64)
-    if w.shape != g.shape:
+    if w.shape != g.shape[-2:] or g.ndim not in (2, 3):
         raise ShapeError("weight/grad shape mismatch", w.shape, g.shape)
-    return float(np.abs(w * g).sum())
+    return np.abs(w * g).sum(axis=(-2, -1)).tolist()
 
 
 def balance(current: float, hist: float, t: int, T: int) -> float:

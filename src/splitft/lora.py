@@ -4,6 +4,9 @@ An adapter for a frozen d_i x d_o weight W0 is the trainable pair
 (B: d_i x r, A: r x d_o); the effective weight is W0 + B A with no extra
 scaling factor. B starts at zero so a fresh adapter is a no-op; A starts
 Gaussian with SIGMA_A so the first gradient step already moves B.
+
+Inputs, gradients and contractions may carry a leading client axis; the
+products then run as stacked matmuls, one slice per client.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def reinit(adapter: LoraAdapter, seed: int, r: int | None = None) -> LoraAdapter
 
 def adapted_forward(x: Matrix, W0: Matrix, adapter: LoraAdapter | None) -> Matrix:
     """x W0 + (x B) A, keeping the low-rank product factored."""
-    if x.shape[1] != W0.shape[0]:
+    if x.shape[-1] != W0.shape[0]:
         raise ShapeError("input/weight mismatch", x.shape, W0.shape)
     y = x @ W0
     if adapter is not None:
@@ -67,7 +70,7 @@ def adapted_forward(x: Matrix, W0: Matrix, adapter: LoraAdapter | None) -> Matri
 def adapter_grads(xtg: Matrix, adapter: LoraAdapter) -> tuple[Matrix, Matrix]:
     """Gradients of sum(g * adapted_forward(x, ...)) w.r.t. (B, A), given the
     d_i x d_o contraction xtg = x.T @ g, which is also the base weight's gradient."""
-    if xtg.shape != (adapter.d_i, adapter.d_o):
+    if xtg.shape[-2:] != (adapter.d_i, adapter.d_o):
         raise ShapeError("contraction/adapter mismatch", xtg.shape, (adapter.d_i, adapter.d_o))
     return xtg @ adapter.A.T, adapter.B.T @ xtg
 

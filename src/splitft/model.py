@@ -7,12 +7,22 @@ four trainable weights {Q, K, V, O} (no MLP sublayer) so every trainable
 weight is LoRA-addressable. A frozen linear head projects to the vocab.
 LayerNorm carries no affine parameters.
 
-Hidden states cross module boundaries as 2-D matrices of shape
-(batch*seq, d_model), row-major by (batch, position).
+Cut activations cross the split as (batch, seq, d_model), so the shape
+travels with them; logits and the cut gradient come back as rows, (batch*seq,
+vocab) and (batch*seq, d_model), row-major by (batch, position).
+
+The server half also takes a group of clients at once: their cut
+activations stacked on a leading client axis, (C, batch, seq, d_model).
+Every output then carries that axis: logits (C, batch*seq, vocab), losses
+(C,), gradients (C, d_i, d_o) and so on. Each GEMM runs as a stacked matmul
+whose slices have one client's shape, and each reduction stays within one
+client's slice, so slice c of a group's outputs equals client c's own pass
+bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -85,6 +95,8 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
 
 @dataclass
 class BlockCache:
+    """One block's activations; a group's carry the leading client axis (C, ...)."""
+
     xn2: Matrix  # (b*L, d) normalized input, fed to Q/K/V
     ln_y: np.ndarray  # (b, L, d) same values as xn2, 3-D view for LN backward
     ln_inv: np.ndarray  # (b, L, 1) 1/sqrt(var+eps)
@@ -98,31 +110,41 @@ class BlockCache:
 @dataclass
 class ActivationCache:
     params: ModelParams
-    batch: int
-    seq: int
+    shape: tuple[int, ...]  # hidden states: (b, L, d), or (C, b, L, d) for a group
     split: SplitPoint
     blocks: dict[int, BlockCache] = field(default_factory=dict)  # emptied by the backward
     final_hidden: Matrix | None = None  # server side only, input to the vocab head
 
 
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """x.mean(axis=-1, keepdims=True), bit for bit, without the wrapper's overhead."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def _layer_norm(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc = x - _row_mean(x)
+    var = _row_mean(xc * xc)  # the steps of x.var(axis=-1), sharing the centred x
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    return (x - mu) * inv, inv
+    return xc * inv, inv
 
 
 def _layer_norm_backward(dy: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
     # No-affine LN: dx = inv * (dy - mean(dy) - y * mean(dy * y))
-    return inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
+    return inv * (dy - _row_mean(dy) - y * _row_mean(dy * y))
+
+
+def _rows(x: np.ndarray) -> Matrix:
+    """(..., b, L, d) hidden states as (..., b*L, d) rows, one matrix per client."""
+    *outer, b, L, d = x.shape
+    return x.reshape(*outer, b * L, d)
 
 
 def _split_heads(x2: Matrix, b: int, L: int, h: int, dh: int) -> np.ndarray:
-    return x2.reshape(b, L, h, dh).transpose(0, 2, 1, 3)
+    return x2.reshape(*x2.shape[:-2], b, L, h, dh).swapaxes(-3, -2)
 
 
 def _merge_heads(x: np.ndarray, b: int, L: int, d: int) -> Matrix:
-    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b * L, d)
+    return np.ascontiguousarray(x.swapaxes(-3, -2)).reshape(*x.shape[:-4], b * L, d)
 
 
 def _check_adapter_side(adapters: AdapterSet, split: SplitPoint, client: bool) -> None:
@@ -161,21 +183,21 @@ def _block_forward(
     params: ModelParams, adapters: AdapterSet, x: np.ndarray, block: int
 ) -> tuple[np.ndarray, BlockCache]:
     cfg = params.config
-    b, L, d = x.shape
+    b, L, d = x.shape[-3:]
     h, dh = cfg.n_heads, cfg.d_head
     ln_y, ln_inv = _layer_norm(x)
-    xn2 = ln_y.reshape(b * L, d)
+    xn2 = _rows(ln_y)
 
     wq, wk, wv, wo = block_weight_ids(block)
     q, k, v = (
         _split_heads(lora.adapted_forward(xn2, params.attn[wid], adapters.get(wid)), b, L, h, dh)
         for wid in (wq, wk, wv)
     )
-    p = _causal_softmax(q @ k.transpose(0, 1, 3, 2), dh)
+    p = _causal_softmax(q @ k.swapaxes(-1, -2), dh)
 
     ctx2 = _merge_heads(p @ v, b, L, d)
     out2 = lora.adapted_forward(ctx2, params.attn[wo], adapters.get(wo))
-    y = x + out2.reshape(b, L, d)
+    y = x + out2.reshape(x.shape)
     return y, BlockCache(xn2, ln_y, ln_inv, q, k, v, p, ctx2)
 
 
@@ -183,8 +205,9 @@ def _weight_grads(
     x2: Matrix, g2: Matrix, wid: WeightId, adapter: LoraAdapter | None,
     adapter_grads: AdapterGrads, base_grads: BaseGrads,
 ) -> None:
-    """Base gradient x2.T @ g2 of one weight; its adapter's (dB, dA) reuse it."""
-    xtg = x2.T @ g2
+    """Base gradient x2.T @ g2 of one weight (one per client for a group);
+    its adapter's (dB, dA) reuse it."""
+    xtg = x2.swapaxes(-1, -2) @ g2
     base_grads[wid] = xtg
     if adapter is not None:
         adapter_grads[wid] = lora.adapter_grads(xtg, adapter)
@@ -203,38 +226,39 @@ def _block_backward(
     """Fill the block's weight gradients; return the gradient w.r.t. its
     input, or None when ``input_grad`` is false and nothing needs it."""
     cfg = params.config
-    b, L, d = cache.ln_y.shape
+    b, L, d = cache.ln_y.shape[-3:]
     h, dh = cfg.n_heads, cfg.d_head
     wq, wk, wv, wo = block_weight_ids(block)
 
-    d_out2 = dy.reshape(b * L, d)
+    d_out2 = _rows(dy)
     ad_o = adapters.get(wo)
     _weight_grads(cache.ctx2, d_out2, wo, ad_o, adapter_grads, base_grads)
     d_ctx = _split_heads(lora.adapted_input_grad(d_out2, params.attn[wo], ad_o), b, L, h, dh)
 
     # Softmax backward in place: ds = p * (dp - sum(dp * p)) / sqrt(dh).
-    ds = d_ctx @ cache.v.transpose(0, 1, 3, 2)
-    dv = cache.p.transpose(0, 1, 3, 2) @ d_ctx
+    ds = d_ctx @ cache.v.swapaxes(-1, -2)
+    dv = cache.p.swapaxes(-1, -2) @ d_ctx
     ds -= (ds * cache.p).sum(axis=-1, keepdims=True)
     ds *= cache.p
     ds /= np.sqrt(dh)
     dq = ds @ cache.k
-    dk = ds.transpose(0, 1, 3, 2) @ cache.q
+    dk = ds.swapaxes(-1, -2) @ cache.q
 
     qkv = tuple(zip((wq, wk, wv), (_merge_heads(g, b, L, d) for g in (dq, dk, dv))))
     for wid, g2 in qkv:
         _weight_grads(cache.xn2, g2, wid, adapters.get(wid), adapter_grads, base_grads)
     if not input_grad:
         return None
-    dxn2 = np.zeros((b * L, d))
+    dxn2 = np.zeros(d_out2.shape)
     for wid, g2 in qkv:
         dxn2 += lora.adapted_input_grad(g2, params.attn[wid], adapters.get(wid))
-    return dy + _layer_norm_backward(dxn2.reshape(b, L, d), cache.ln_y, cache.ln_inv)
+    return dy + _layer_norm_backward(dxn2.reshape(dy.shape), cache.ln_y, cache.ln_inv)
 
 
 def forward_client(
     params: ModelParams, adapters: AdapterSet, tokens: np.ndarray, split: SplitPoint
-) -> tuple[Matrix, ActivationCache]:
+) -> tuple[np.ndarray, ActivationCache]:
+    """The client half; returns the cut activations, (batch, seq, d_model)."""
     cfg = params.config
     split.validate(cfg.n_blocks)
     _check_adapter_side(adapters, split, client=True)
@@ -248,31 +272,28 @@ def forward_client(
         raise ValueError("token id out of range")
 
     x = params.tok_emb[tokens] + params.pos_emb[None, :L, :]
-    cache = ActivationCache(params, batch=b, seq=L, split=split)
+    cache = ActivationCache(params, x.shape, split)
     for blk in range(split.j):
         x, cache.blocks[blk] = _block_forward(params, adapters, x, blk)
-    cut = x.reshape(b * L, cfg.d_model)
-    return check_finite(cut, "cut activations"), cache
+    return check_finite(x, "cut activations"), cache
 
 
 def forward_server(
-    params: ModelParams, adapters: AdapterSet, cut_activations: Matrix, split: SplitPoint
+    params: ModelParams, adapters: AdapterSet, cut_activations: np.ndarray, split: SplitPoint
 ) -> tuple[Matrix, ActivationCache]:
+    """The server half on one client's cut activations, (batch, seq,
+    d_model), or on a group's, (C, batch, seq, d_model); returns the logits
+    as rows, (batch*seq, vocab) or (C, batch*seq, vocab)."""
     cfg = params.config
     split.validate(cfg.n_blocks)
     _check_adapter_side(adapters, split, client=False)
-    n, d = cut_activations.shape
-    if d != cfg.d_model:
-        raise ShapeError("cut activation width mismatch", cut_activations.shape)
-    # Rows are batch*seq; recover seq from the configured length when it
-    # divides, else treat the whole thing as one sequence.
-    L = cfg.seq_len if n % cfg.seq_len == 0 else n
-    b = n // L
-    x = cut_activations.reshape(b, L, d)
-    cache = ActivationCache(params, batch=b, seq=L, split=split)
+    x = cut_activations
+    if x.ndim not in (3, 4) or x.shape[-1] != cfg.d_model or x.shape[-2] > cfg.seq_len:
+        raise ShapeError("cut activations must be ([clients,] batch, seq <= seq_len, d_model)", x.shape)
+    cache = ActivationCache(params, x.shape, split)
     for blk in range(split.j, cfg.n_blocks):
         x, cache.blocks[blk] = _block_forward(params, adapters, x, blk)
-    cache.final_hidden = x.reshape(n, d)
+    cache.final_hidden = _rows(x)
     logits = cache.final_hidden @ params.out_proj
     return check_finite(logits, "logits"), cache
 
@@ -282,34 +303,38 @@ def loss_and_grad_server(
     targets: np.ndarray,
     server_cache: ActivationCache,
     adapters: AdapterSet,
-) -> tuple[float, AdapterGrads, BaseGrads, Matrix]:
+) -> tuple[float | np.ndarray, AdapterGrads, BaseGrads, Matrix]:
     """Mean cross-entropy of the logits, the server half's adapter and base
-    gradients, and the gradient at the cut.
+    gradients, and the gradient at the cut (as rows). For a group every
+    output has the leading client axis: one mean loss per client, each
+    client's dlogits scaled by its own row count, and gradients stacked per
+    client.
 
     The backward spends the cache: each block's activations are dropped from
     ``server_cache.blocks`` as soon as its backward has run, so a cache can
     be differentiated once.
     """
-    targets = np.asarray(targets).reshape(-1)
-    n, V = logits.shape
-    if targets.shape[0] != n:
+    rows = logits.shape[:-1]
+    targets = np.asarray(targets)
+    if targets.size != math.prod(rows):
         raise ShapeError("targets/logits mismatch", targets.shape, logits.shape)
     if server_cache.final_hidden is None:
         raise ValueError("cache was not produced by forward_server")
+    V = logits.shape[-1]
+    picks = np.arange(targets.size), targets.reshape(-1)  # each row's target, in (rows, V) views
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    z = exps.sum(axis=1)
-    loss = float(np.mean(np.log(z) - shifted[np.arange(n), targets]))
+    z = exps.sum(axis=-1)
+    losses = _row_mean(np.log(z) - shifted.reshape(-1, V)[picks].reshape(rows))[..., 0]
 
-    dlogits = exps / z[:, None]
-    dlogits[np.arange(n), targets] -= 1.0
-    dlogits /= n
+    dlogits = exps / z[..., None]
+    dlogits.reshape(-1, V)[picks] -= 1.0
+    dlogits /= rows[-1]
 
     params = server_cache.params
     cfg = params.config
-    b, L = server_cache.batch, server_cache.seq
-    dx = (dlogits @ params.out_proj.T).reshape(b, L, cfg.d_model)
+    dx = (dlogits @ params.out_proj.T).reshape(server_cache.shape)
 
     adapter_grads: AdapterGrads = {}
     base_grads: BaseGrads = {}
@@ -317,21 +342,21 @@ def loss_and_grad_server(
         dx = _block_backward(
             params, adapters, dx, server_cache.blocks.pop(blk), blk, adapter_grads, base_grads
         )
-    cut_grad = dx.reshape(n, cfg.d_model)
-    return loss, adapter_grads, base_grads, check_finite(cut_grad, "cut gradient")
+    loss = float(losses) if losses.ndim == 0 else losses
+    return loss, adapter_grads, base_grads, check_finite(_rows(dx), "cut gradient")
 
 
 def backward_client(
     cut_activation_grad: Matrix, client_cache: ActivationCache, adapters: AdapterSet
 ) -> tuple[AdapterGrads, BaseGrads]:
-    """The client half's adapter and base gradients from the cut gradient.
-    Like ``loss_and_grad_server``, it spends the cache block by block."""
+    """The client half's adapter and base gradients from the cut gradient
+    rows, (batch*seq, d_model). Like ``loss_and_grad_server``, it spends the
+    cache block by block."""
     params = client_cache.params
-    cfg = params.config
-    b, L = client_cache.batch, client_cache.seq
-    if cut_activation_grad.shape != (b * L, cfg.d_model):
-        raise ShapeError("cut gradient shape mismatch", cut_activation_grad.shape, (b * L, cfg.d_model))
-    dx = cut_activation_grad.reshape(b, L, cfg.d_model)
+    b, L, d = client_cache.shape
+    if cut_activation_grad.shape != (b * L, d):
+        raise ShapeError("cut gradient shape mismatch", cut_activation_grad.shape, (b * L, d))
+    dx = cut_activation_grad.reshape(b, L, d)
     adapter_grads: AdapterGrads = {}
     base_grads: BaseGrads = {}
     # Block 0's input is the frozen embedding, so its input gradient is skipped.

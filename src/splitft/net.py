@@ -10,7 +10,8 @@ barrier and the protocol cannot deadlock.
 Per round t, per client:
   server -> PLAN        (split point, this client's rank assignment; the
                          ``seed`` field carries the round number t)
-  client -> ACTIVATIONS (cut activations for its next batch)
+  client -> ACTIVATIONS (cut activations for its next batch as batch*seq
+                         rows; ``n_samples`` is the batch)
   server -> CUT_GRAD    (gradient at the cut)
   client -> BARRIER     (client-side importance numerators as one matrix)
   client -> ADAPTER_UPLOAD x n   (aggregation rounds only, t % K == 0)
@@ -89,7 +90,11 @@ class RemoteClient:
         self.ranks = tuple((wid, assignment[wid]) for wid in sorted(assignment, key=WeightId.sort_key))
         plan = wire.WireMessage(wire.PLAN, client_id=self.client_id, split_j=split.j, seed=t, ranks=self.ranks)
         _send(self.sock, plan)
-        return _recv(self.sock, wire.ACTIVATIONS, self.client_id).matrices[0]
+        msg = _recv(self.sock, wire.ACTIVATIONS, self.client_id)
+        rows, d = msg.matrices[0].shape
+        if msg.n_samples == 0 or rows % msg.n_samples:
+            raise ProtocolError(f"client {self.client_id}: {rows} activation rows are not {msg.n_samples} samples")
+        return msg.matrices[0].reshape(msg.n_samples, rows // msg.n_samples, d)
 
     def backward(self, cut_grad: np.ndarray, t: int) -> tuple[list, list[aggregation.AdapterUpload]]:
         cid = self.client_id
@@ -157,7 +162,7 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
             t = plan.seed
             acts = sim.forward(SplitPoint(plan.split_j), dict(plan.ranks), t)
             _send(sock, wire.WireMessage(wire.ACTIVATIONS, client_id=client_id, n_samples=config.batch,
-                                         matrices=(acts,)))
+                                         matrices=(acts.reshape(-1, acts.shape[-1]),)))
             numerators, uploads = sim.backward(_recv(sock, wire.CUT_GRAD, client_id).matrices[0], t)
             mine = dict(numerators)
             vec = np.array([[mine.get(w, 0.0)] for w in wids])

@@ -22,22 +22,29 @@ client batches within the round and applied as a single averaged step.
 Base weights change only through the aggregation merge.
 
 Clients are independent within step (2): each one's work reads the base
-weights and the server adapters and writes only that client's adapters. So
-step (2) runs in two lanes: the calling thread takes clients 0, 2, 4, ...
-and one worker thread, opened for the round, takes 1, 3, 5, ....
+weights and the server adapters and writes only that client's adapters.
+How step (2) is scheduled depends on the size of a client's activations,
+batch * seq_len * d_model entries, against ``PARALLEL_MIN_ENTRIES``:
+- Above the gate, with two cores, it runs in two lanes: the calling thread
+  takes clients 0, 2, 4, ... and one worker thread, opened for the round,
+  takes 1, 3, 5, .... A client's forward starts only after the previous
+  client's forward has returned, so forward halves run in client order and
+  the two lanes' activation caches peak at different moments.
+- Below it the numpy calls are so short that Python call overhead, not
+  arithmetic, sets the pace, and handing the interpreter lock back and forth
+  costs more than a second core gives. So clients run inline in groups of
+  as many as fit under the gate together. For each group every end's
+  forward runs in client order, then one server pass (forward, loss and
+  backward) runs over the group's activations stacked on a leading client
+  axis, then every end's backward gets its own slice of the cut gradient.
+  A lane's step is a group of one.
 - The calling thread reduces the results (losses, summed server adapter
-  gradients, importance numerators) strictly in client order, so every float
-  sum keeps its order and the outputs are bit-identical to running the
-  clients one after another.
-- A client's forward starts only after the previous client's forward has
-  returned. Forward halves thus run in client order, and the two lanes'
-  activation caches peak at different moments.
-- Lanes run only when a client's activations have at least
-  ``PARALLEL_MIN_ENTRIES`` entries (batch * seq_len * d_model) and the host
-  has two cores. Below that size the numpy calls are so short that handing
-  the interpreter lock back and forth costs more than the second core gives,
-  so the same per-client step runs inline.
-- A failing client step, in either lane, ends the round with its error.
+  gradients, importance numerators) strictly in client order. A grouped
+  server pass equals the per-client passes bit for bit (see ``model``), so
+  every float sum keeps its order and the outputs are bit-identical to
+  running the clients one after another.
+- A failing client step, in either lane or any group, ends the round with
+  its error.
 """
 
 from __future__ import annotations
@@ -69,14 +76,19 @@ def make_shard(config: ExperimentConfig, client_id: int) -> np.ndarray:
     return rng.integers(0, config.model.vocab_size, size=(config.shard_size, config.model.seq_len))
 
 
+@functools.lru_cache(maxsize=1024)
+def _uniform_budget(seed: int, tag: int, lo: float, hi: float) -> float:
+    """One entity's ``uniform`` budget: drawn once, then the same every round."""
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "budget", tag)))
+    return lo + (hi - lo) * rng.random()
+
+
 def budget_trace(spec: BudgetSpec, client_id: int | None, t: int, seed: int) -> float:
     spec.validate()
     if spec.kind == "fixed":
         return spec.value
     if spec.kind == "uniform":
-        tag = -1 if client_id is None else client_id
-        rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "budget", tag)))
-        return spec.lo + (spec.hi - spec.lo) * rng.random()
+        return _uniform_budget(seed, -1 if client_id is None else client_id, spec.lo, spec.hi)
     if t not in spec.table:
         raise KeyError(f"scripted budget table has no entry for round {t}")
     return spec.table[t]
@@ -130,6 +142,8 @@ class ClientSim:
 
     def finish(self, t: int, loss: float, merged: dict[WeightId, np.ndarray]) -> None:
         """Re-initialize every adapter whose weight was merged this round."""
+        if not merged:
+            return
         agg_seed = derive_seed(self.config.seed, "agg", t)
         for wid in merged:
             if wid in self.adapters:
@@ -269,71 +283,90 @@ def _check_budgets(state: ExperimentState, plan: RoundPlan, budgets: Budgets) ->
             state.budget_violations += 1
 
 
-# Lanes only when a client's activations have at least this many entries
-# (batch * seq_len * d_model); see the module docstring.
+# Lanes above this many entries per client's activations (batch * seq_len *
+# d_model), groups below it; see the module docstring.
 PARALLEL_MIN_ENTRIES = 8192
 
 Numerators = list[tuple[WeightId, float]]
 ClientResult = tuple[float, AdapterGrads, Numerators, list[aggregation.AdapterUpload]]
 
 
-def _numerators(params: ModelParams, base_grads: BaseGrads) -> Numerators:
+def _numerators(params: ModelParams, base_grads: BaseGrads) -> list:
+    """(weight, numerator) per base gradient; a stack of gradients gives one
+    numerator per client."""
     return [(wid, importance.gw_numerator(params.attn[wid], g)) for wid, g in base_grads.items()]
 
 
-def _client_step(state: ExperimentState, plan: RoundPlan, t: int, turns: list[threading.Event], end) -> ClientResult:
-    """One client's share of a round through its end: both forward halves,
-    the loss, both backward halves (the end takes its own SGD step) and the
-    importance numerators. Returns (loss, server adapter grads, numerators,
-    uploads). It reads the base weights and the server adapters and writes
-    only the client's own state, so steps of different clients may run at
-    the same time. Its forward starts only once the previous client's
-    forward (both halves) has returned: forward halves run in client order,
-    and the activation caches of two lanes peak at different moments."""
-    params, server_ads = state.params, state.server.adapters
-    cid = end.client_id
-    if cid:
-        turns[cid - 1].wait()
+def _group_step(
+    state: ExperimentState, plan: RoundPlan, t: int, turns: list[threading.Event], group: list
+) -> list[ClientResult]:
+    """The share of a round of consecutive clients, through their ends:
+    every end's forward in client order, one server pass (forward, loss,
+    backward) over their activations stacked on a leading client axis, then
+    every end's backward with its slice of the cut gradient (the end takes
+    its own SGD step). Returns each client's (loss, server adapter grads,
+    importance numerators, uploads), in client order.
+
+    It reads the base weights and the server adapters and writes only its
+    clients' own state, so groups of different clients may run at the same
+    time. Its first forward starts only once the previous client's forward
+    (both halves) has returned: forward halves run in client order, and the
+    activation caches of two lanes peak at different moments."""
+    params, server_ads, cfg = state.params, state.server.adapters, state.config
+    cids = [end.client_id for end in group]
+    if cids[0]:
+        turns[cids[0] - 1].wait()
     try:
-        acts = end.forward(plan.split, plan.client_assignments[cid], t)
+        acts = np.stack([end.forward(plan.split, plan.client_assignments[end.client_id], t) for end in group])
         logits, scache = model.forward_server(params, server_ads, acts, plan.split)
     finally:
-        turns[cid].set()
-    tokens = client_batch(state.clients[cid].shard, state.config.batch, t)  # copy task: targets are the tokens
-    loss, s_ad_grads, base_grads, cut_grad = model.loss_and_grad_server(logits, tokens, scache, server_ads)
+        for cid in cids:
+            turns[cid].set()
+    del acts
+    # Copy task: the targets are the tokens.
+    tokens = np.stack([client_batch(state.clients[cid].shard, cfg.batch, t) for cid in cids])
+    losses, s_ad_grads, base_grads, cut_grads = model.loss_and_grad_server(logits, tokens, scache, server_ads)
     numerators = _numerators(params, base_grads)
     del base_grads  # the server's d x d grads are not kept through the client backward
-    client_numerators, uploads = end.backward(cut_grad, t)
-    return loss, s_ad_grads, numerators + client_numerators, uploads
+    results = []
+    for c, end in enumerate(group):
+        client_numerators, uploads = end.backward(cut_grads[c], t)
+        results.append((float(losses[c]), {wid: (dB[c], dA[c]) for wid, (dB, dA) in s_ad_grads.items()},
+                        [(wid, v[c]) for wid, v in numerators] + client_numerators, uploads))
+    return results
 
 
 def _client_results(state: ExperimentState, plan: RoundPlan, t: int, ends: list) -> Iterator[ClientResult]:
     """Yield every client's step result in client order.
 
-    Above the size gate the steps run in two lanes: this thread runs clients
-    0, 2, 4, ... and one worker thread runs 1, 3, 5, .... Below it they run
-    inline. If a step raises, every pending turn is released and queued steps
-    are cancelled before the error propagates, so the round never hangs.
+    Above the size gate the steps run in two lanes, as groups of one: this
+    thread runs clients 0, 2, 4, ... and one worker thread runs 1, 3, 5,
+    .... Below it they run inline, in groups of as many clients as fit
+    under the gate. If a step raises, every pending turn is released and
+    queued steps are cancelled before the error propagates, so the round
+    never hangs.
     """
     turns = [threading.Event() for _ in ends]
-    step = functools.partial(_client_step, state, plan, t, turns)
+    step = functools.partial(_group_step, state, plan, t, turns)
     mc = state.config.model
     entries = state.config.batch * mc.seq_len * mc.d_model
     if len(ends) < 2 or entries < PARALLEL_MIN_ENTRIES or (os.cpu_count() or 1) < 2:
-        yield from map(step, ends)
+        size = max(1, PARALLEL_MIN_ENTRIES // entries)
+        for i in range(0, len(ends), size):
+            yield from step(ends[i:i + size])
         return
     with ThreadPoolExecutor(1) as pool:
         # Popped as consumed: a future keeps its result alive.
-        odd = deque(pool.submit(step, e) for e in ends[1::2])
+        odd = deque(pool.submit(step, [e]) for e in ends[1::2])
         try:
             for i, end in enumerate(ends[0::2]):
-                mine = step(end)
+                mine = step([end])
                 if i:
-                    yield odd.popleft().result()
-                yield mine
+                    yield from odd.popleft().result()
+                yield from mine
                 del mine  # not held through the next step
             if odd:
-                yield odd.popleft().result()
+                yield from odd.popleft().result()
         except BaseException:
             for turn in turns:
                 turn.set()

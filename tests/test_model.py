@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference
-from splitft import lora, model
+from splitft import importance, lora, model
 from splitft.linalg import ShapeError, derive_seed
 from splitft.model import ModelConfig
 from splitft.weights import SplitPoint, WeightId
@@ -264,8 +264,8 @@ def test_causal_softmax_is_bit_identical_at_mid_shape(dh):
 EXACT_CFG = ModelConfig(n_blocks=4, d_model=12, n_heads=2, vocab_size=11, seq_len=5)
 
 
-# forward_server infers (batch, seq) from the row count, so the shorter
-# sequences run as a single one (batch 1) to reach the server intact.
+# Short sequences run at batch 1 here; test_short_sequences_match_the_reference
+# covers batches of them.
 @pytest.mark.parametrize("L", [1, 3, EXACT_CFG.seq_len])
 @pytest.mark.parametrize("with_adapters", [True, False])
 def test_split_run_is_bit_identical_to_original_formulas(L, with_adapters):
@@ -310,3 +310,74 @@ def test_split_run_is_bit_identical_to_original_formulas(L, with_adapters):
         assert base_grads.keys() == ref["base_grads"].keys()
         for wid, g in base_grads.items():
             assert np.array_equal(g, ref["base_grads"][wid])
+
+
+@pytest.mark.parametrize("b, L", [(2, 3), (3, 1), (2, 4)])
+def test_short_sequences_match_the_reference(b, L):
+    # Each sequence of the batch is attended on its own at every split, with
+    # the shape carried by the cut activations, not inferred from seq_len.
+    params, adapters, _ = _setup(seed=12, n_blocks=4)
+    assert L < params.config.seq_len
+    tokens = np.random.default_rng(12).integers(0, CFG.vocab_size, size=(b, L))
+    ref_logits, ref_loss, ref_ad, ref_base = reference.unsplit_forward_backward(params, adapters, tokens, tokens)
+    for j in range(1, 4):
+        logits, loss, ad_grads, base_grads = _split_run(params, adapters, tokens, j)
+        assert np.allclose(logits, ref_logits, atol=1e-12)
+        assert abs(loss - ref_loss) < 1e-12
+        for wid, (dB, dA) in ad_grads.items():
+            assert np.allclose(dB, ref_ad[wid][0], atol=1e-12)
+            assert np.allclose(dA, ref_ad[wid][1], atol=1e-12)
+        for wid, g in base_grads.items():
+            assert np.allclose(g, ref_base[wid], atol=1e-12)
+
+
+def test_server_half_rejects_activations_without_their_shape():
+    params, _, _ = _setup(seed=13)
+    for bad in (np.zeros((10, 8)), np.zeros((2, CFG.seq_len + 1, 8)), np.zeros((1, 2, 5, 8, 1))):
+        with pytest.raises(ShapeError):
+            model.forward_server(params, {}, bad, SplitPoint(1))
+
+
+# The desk shape (32-wide, 4 heads, seq 16, batch 2) and d_head 6 (see
+# EXACT_CFG), at full and at short sequence length.
+GROUP_SHAPES = [
+    (ModelConfig(n_blocks=4, d_model=32, n_heads=4, vocab_size=16, seq_len=16), 2, 16),
+    (EXACT_CFG, 2, 3),
+]
+
+
+@pytest.mark.parametrize("n_clients", [1, 2, 3, 32])
+@pytest.mark.parametrize("shape", range(len(GROUP_SHAPES)))
+def test_grouped_server_pass_equals_per_client_passes(shape, n_clients):
+    cfg, b, L = GROUP_SHAPES[shape]
+    d = cfg.d_model
+    params = model.build_model(cfg, 14)
+    rng = np.random.default_rng(n_clients)
+    for j in range(1, cfg.n_blocks):
+        split = SplitPoint(j)
+        server_wids = [w for w in sorted(params.attn, key=WeightId.sort_key) if not split.client_side(w)]
+        s_ads = {}
+        for i, wid in enumerate(server_wids[:-1]):  # mixed ranks; the last weight has no adapter
+            ad = lora.new_adapter(wid, (1, 2, 3, 5)[i % 4], d, d, derive_seed(14, j, i))
+            ad.B = 0.1 * rng.standard_normal(ad.B.shape)
+            s_ads[wid] = ad
+        acts = rng.standard_normal((n_clients, b, L, d))
+        tokens = rng.integers(0, cfg.vocab_size, size=(n_clients, b, L))
+
+        logits, cache = model.forward_server(params, s_ads, acts, split)
+        losses, ad_grads, base_grads, cut = model.loss_and_grad_server(logits, tokens, cache, s_ads)
+        assert losses.shape == (n_clients,) and cut.shape == (n_clients, b * L, d)
+        assert ad_grads.keys() == s_ads.keys() and base_grads.keys() == set(server_wids)
+        numerators = {wid: importance.gw_numerator(params.attn[wid], g) for wid, g in base_grads.items()}
+        for c in range(n_clients):
+            one_logits, one_cache = model.forward_server(params, s_ads, acts[c], split)
+            loss, one_ad, one_base, one_cut = model.loss_and_grad_server(one_logits, tokens[c], one_cache, s_ads)
+            assert np.array_equal(logits[c], one_logits)
+            assert losses[c] == loss
+            assert np.array_equal(cut[c], one_cut)
+            for wid, (dB, dA) in one_ad.items():
+                assert np.array_equal(ad_grads[wid][0][c], dB)
+                assert np.array_equal(ad_grads[wid][1][c], dA)
+            for wid, g in one_base.items():
+                assert np.array_equal(base_grads[wid][c], g)
+                assert numerators[wid][c] == importance.gw_numerator(params.attn[wid], g)

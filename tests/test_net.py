@@ -276,3 +276,21 @@ def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
         else:
             with pytest.raises(net.ProtocolError):
                 round_trip()
+
+
+@pytest.mark.parametrize("n_samples", [1, SHORT.batch, 3, 0])
+def test_remote_client_takes_the_batch_from_n_samples(n_samples):
+    cfg, cid = SHORT, 1
+    d, rows = cfg.model.d_model, cfg.batch * cfg.model.seq_len
+    acts = np.arange(rows * d, dtype=np.float64).reshape(rows, d)
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(wire.encode_message(
+            wire.WireMessage(wire.ACTIVATIONS, client_id=cid, n_samples=n_samples, matrices=(acts,))))
+        end = net.RemoteClient(ours, cid, cfg)
+        if n_samples and rows % n_samples == 0:
+            got = end.forward(SplitPoint(1), {WeightId(0, "Q"): 4}, 1)
+            assert np.array_equal(got, acts.reshape(n_samples, rows // n_samples, d))
+        else:
+            with pytest.raises(net.ProtocolError):
+                end.forward(SplitPoint(1), {WeightId(0, "Q"): 4}, 1)

@@ -9,6 +9,7 @@ import pytest
 
 from splitft import lora, metrics, model, orchestrator, planner
 from splitft.config import BudgetSpec, ExperimentConfig
+from splitft.linalg import derive_seed
 from splitft.model import ModelConfig
 from splitft.orchestrator import budget_trace, init_state, make_shard, run_experiment, run_round
 from splitft.weights import WeightId
@@ -288,7 +289,10 @@ def test_a_round_spends_every_activation_cache(monkeypatch):
     spy("loss_and_grad_server", 2)
     spy("backward_client", 1)
     run_round(init_state(SMALL), 1)
-    assert len(caches) == 2 * SMALL.n_clients
+    # One client cache per client and one server cache per group of clients.
+    entries = SMALL.batch * SMALL.model.seq_len * SMALL.model.d_model
+    group = max(1, orchestrator.PARALLEL_MIN_ENTRIES // entries)
+    assert len(caches) == SMALL.n_clients + -(-SMALL.n_clients // group)
     assert all(cache.blocks == {} for cache in caches)
 
 
@@ -316,3 +320,58 @@ def test_each_split_is_planned_once_per_round(monkeypatch):
         reasons.append(run_round(state, t).replan_reason)
         assert calls == [1, 2, 3]
     assert reasons == ["initial", "", "infeasible", "", ""]  # select, re-fit and re-select paths all ran
+
+
+def test_group_sizes_give_bit_identical_runs(monkeypatch):
+    # Without lanes every gate gives groups: of 1, of 2 (the last one short)
+    # and of all 5 clients. Server adapter gradients are summed across groups
+    # in client order, so every size gives the same bits.
+    cfg = replace(SMALL, n_clients=5, total_rounds=4, agg_period=2)
+    entries = cfg.batch * cfg.model.seq_len * cfg.model.d_model
+    monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 1)
+    forward_server, sizes = model.forward_server, []
+
+    def recording(params, adapters, acts, split):
+        sizes.append(acts.shape[0])
+        return forward_server(params, adapters, acts, split)
+
+    monkeypatch.setattr(model, "forward_server", recording)
+    runs = {}
+    for size, groups in ((1, [1] * 5), (2, [2, 2, 1]), (5, [5])):
+        monkeypatch.setattr(orchestrator, "PARALLEL_MIN_ENTRIES", size * entries)
+        sizes.clear()
+        runs[size] = _run_rounds(cfg)
+        assert sizes == groups * cfg.total_rounds
+    b, csv_b = runs[1]
+    for a, csv_a in (runs[2], runs[5]):
+        assert csv_a == csv_b
+        for wid, W in b.params.attn.items():
+            assert np.array_equal(a.params.attn[wid], W)
+        for side_a, side_b in zip([*a.clients, a.server], [*b.clients, b.server]):
+            assert side_a.adapters.keys() == side_b.adapters.keys()
+            for wid, ad in side_b.adapters.items():
+                assert np.array_equal(side_a.adapters[wid].B, ad.B)
+                assert np.array_equal(side_a.adapters[wid].A, ad.A)
+        assert a.last_numerators == b.last_numerators
+
+
+def test_uniform_budgets_are_drawn_once_per_entity(monkeypatch):
+    spec = BudgetSpec("uniform", lo=10.0, hi=20.0)
+    seed = 918_273  # no other test draws with it, so nothing is memoized yet
+    calls = []
+    monkeypatch.setattr(orchestrator, "derive_seed", lambda *parts: calls.append(parts) or derive_seed(*parts))
+    first = [budget_trace(spec, cid, 1, seed) for cid in (0, 1, None)]
+    assert [budget_trace(spec, cid, t, seed) for t in (2, 3) for cid in (0, 1, None)] == first * 2
+    assert calls == [(seed, "budget", tag) for tag in (0, 1, -1)]
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, "budget", 1)))
+    assert first[1] == 10.0 + 10.0 * rng.random()
+
+
+def test_finish_without_a_merge_derives_no_seed(monkeypatch):
+    client = init_state(SMALL).clients[0]
+
+    def failing(*parts):
+        raise AssertionError("finish derived a seed without a merge")
+
+    monkeypatch.setattr(orchestrator, "derive_seed", failing)
+    client.finish(1, 0.0, {})
