@@ -5,8 +5,12 @@ A statement is any ``ast.stmt`` node found by ``ast.walk``, so nested
 statements (function bodies, branches) count too. Comments and
 docstring lines count as lines only.
 
+Given a second package dir (say a parent checkout's ``src/splitft``), it
+prints each module's and the total's size there, the size here and the
+change; a module missing on one side counts as 0 there.
+
 Usage:
-    python scripts/src_size.py [package_dir]
+    python scripts/src_size.py [package_dir [parent_package_dir]]
 """
 
 import ast
@@ -20,14 +24,29 @@ def module_size(path: Path) -> tuple[int, int]:
     return len(text.splitlines()), stmts
 
 
+def package_sizes(root: Path) -> dict[str, tuple[int, int]]:
+    sizes = {p.stem: module_size(p) for p in sorted(root.glob("*.py"))}
+    sizes["total"] = (sum(s[0] for s in sizes.values()), sum(s[1] for s in sizes.values()))
+    return sizes
+
+
 def main() -> None:
     root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "splitft"
-    rows = [(p.stem, *module_size(p)) for p in sorted(root.glob("*.py"))]
-    width = max(len(name) for name, _, _ in rows + [("total", 0, 0)])
-    print(f"{'module':<{width}}  {'lines':>6}  {'stmts':>6}")
-    for name, lines, stmts in rows:
-        print(f"{name:<{width}}  {lines:>6}  {stmts:>6}")
-    print(f"{'total':<{width}}  {sum(r[1] for r in rows):>6}  {sum(r[2] for r in rows):>6}")
+    sizes = package_sizes(root)
+    width = max(len(name) for name in sizes)
+    if len(sys.argv) < 3:
+        print(f"{'module':<{width}}  {'lines':>6}  {'stmts':>6}")
+        for name, (lines, stmts) in sizes.items():
+            print(f"{name:<{width}}  {lines:>6}  {stmts:>6}")
+        return
+    parent = package_sizes(Path(sys.argv[2]))
+    names = sorted((set(sizes) | set(parent)) - {"total"}) + ["total"]
+    width = max(len(name) for name in names)
+    print(f"{'module':<{width}}  {'lines':>13}  {'delta':>6}  {'stmts':>13}  {'delta':>6}")
+    for name in names:
+        (a_lines, a_stmts), (b_lines, b_stmts) = parent.get(name, (0, 0)), sizes.get(name, (0, 0))
+        print(f"{name:<{width}}  {f'{a_lines} -> {b_lines}':>13}  {b_lines - a_lines:>+6}  "
+              f"{f'{a_stmts} -> {b_stmts}':>13}  {b_stmts - a_stmts:>+6}")
 
 
 if __name__ == "__main__":

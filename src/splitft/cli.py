@@ -194,11 +194,16 @@ def _gradcheck_setup(seed: int):
     return params, split, c_ads, s_ads, tokens
 
 
-def _pipeline_loss(params, split, c_ads, s_ads, tokens) -> float:
-    acts, _ = model.forward_client(params, c_ads, tokens, split)
-    logits, scache = model.forward_server(params, s_ads, acts, split)
-    loss, _, _, _ = model.loss_and_grad_server(logits, tokens, scache, s_ads)
-    return loss
+def _central_difference(mat: np.ndarray, i: int, j: int, h: float, loss) -> float:
+    """d loss / d mat[i, j] by central difference; ``loss()`` reads ``mat``,
+    which is left as it was."""
+    orig = mat[i, j]
+    mat[i, j] = orig + h
+    up = loss()
+    mat[i, j] = orig - h
+    down = loss()
+    mat[i, j] = orig
+    return (up - down) / (2 * h)
 
 
 def grad_check_seed(seed: int, h: float, tol: float) -> float:
@@ -211,49 +216,35 @@ def grad_check_seed(seed: int, h: float, tol: float) -> float:
     _, s_ad_grads, s_base_grads, cut_grad = model.loss_and_grad_server(logits, tokens, scache, s_ads)
     c_ad_grads, c_base_grads = model.backward_client(cut_grad, ccache, c_ads)
 
-    worst = 0.0
-
     def rel(analytic: float, fd: float) -> float:
         return abs(analytic - fd) / max(abs(fd), abs(analytic), 1e-8)
 
-    def fd_entry(mat, i, j) -> float:
-        orig = mat[i, j]
-        mat[i, j] = orig + h
-        up = _pipeline_loss(params, split, c_ads, s_ads, tokens)
-        mat[i, j] = orig - h
-        down = _pipeline_loss(params, split, c_ads, s_ads, tokens)
-        mat[i, j] = orig
-        return (up - down) / (2 * h)
+    def server_loss(a: np.ndarray) -> float:
+        lg, sc = model.forward_server(params, s_ads, a, split)
+        return model.loss_and_grad_server(lg, tokens, sc, s_ads)[0]
 
+    def pipeline_loss() -> float:
+        return server_loss(model.forward_client(params, c_ads, tokens, split)[0])
+
+    worst = 0.0
     for ads, grads in ((c_ads, c_ad_grads), (s_ads, s_ad_grads)):
         for wid, (dB, dA) in grads.items():
             for mat, g in ((ads[wid].B, dB), (ads[wid].A, dA)):
                 for i in range(mat.shape[0]):
                     for j in range(mat.shape[1]):
-                        worst = max(worst, rel(g[i, j], fd_entry(mat, i, j)))
+                        worst = max(worst, rel(g[i, j], _central_difference(mat, i, j, h, pipeline_loss)))
 
     for grads in (c_base_grads, s_base_grads):
         for wid, g in grads.items():
             mat = params.attn[wid]
             for i, j in ((0, 0), (3, 5), (7, 7), (2, 6)):
-                worst = max(worst, rel(g[i, j], fd_entry(mat, i, j)))
+                worst = max(worst, rel(g[i, j], _central_difference(mat, i, j, h, pipeline_loss)))
 
     # Cut activations: loss as a function of the values crossing the split.
-    def cut_loss(a):
-        lg, sc = model.forward_server(params, s_ads, a, split)
-        loss, _, _, _ = model.loss_and_grad_server(lg, tokens, sc, s_ads)
-        return loss
-
     rows = acts.reshape(-1, acts.shape[-1])  # a view: writing it perturbs acts
     for i in range(rows.shape[0]):
         for j in range(rows.shape[1]):
-            orig = rows[i, j]
-            rows[i, j] = orig + h
-            up = cut_loss(acts)
-            rows[i, j] = orig - h
-            down = cut_loss(acts)
-            rows[i, j] = orig
-            worst = max(worst, rel(cut_grad[i, j], (up - down) / (2 * h)))
+            worst = max(worst, rel(cut_grad[i, j], _central_difference(rows, i, j, h, lambda: server_loss(acts))))
     return worst
 
 

@@ -1,12 +1,15 @@
 """Experiment configuration: dataclasses plus a flat key = value file format.
 
-Every key has a default, so an empty file is a valid minimal config.
+The keys are the fields of ``ModelConfig`` and ``ExperimentConfig``, each
+parsed by its declared type. Every key has a default, so an empty file is a
+valid minimal config.
 Unknown keys and invalid values are all collected and reported together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import get_type_hints
 
 from .model import ModelConfig
 from .planner import DEFAULT_EPSILON, DEFAULT_RANK_SET, DEFAULT_TAU0, CostModel, RankSet
@@ -81,7 +84,8 @@ class ExperimentConfig:
         if self.aggregator not in ("naa", "haa"):
             errs.append(f"aggregator must be naa|haa, got {self.aggregator!r}")
         try:
-            RankSet(self.rank_set)
+            if RankSet(self.rank_set).ranks[-1] > self.model.d_model:
+                raise ValueError(f"ranks must not exceed d_model={self.model.d_model}, got {self.rank_set}")
         except ValueError as e:
             errs.append(f"rank_set: {e}")
         for name, spec in (("client_budget", self.client_budget), ("server_budget", self.server_budget)):
@@ -104,16 +108,6 @@ class ExperimentConfig:
         )
 
 
-_INT_KEYS = {
-    "n_blocks", "d_model", "n_heads", "vocab_size", "seq_len",
-    "n_clients", "total_rounds", "agg_period", "batch", "shard_size", "seed",
-}
-_FLOAT_KEYS = {"kappa_opt", "beta_act", "learning_rate", "tau0", "epsilon"}
-_STR_KEYS = {"agg_mode", "aggregator"}
-_SPECIAL_KEYS = {"rank_set", "client_budget", "server_budget"}
-ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _SPECIAL_KEYS
-
-
 def _parse_budget(text: str) -> BudgetSpec:
     kind, _, rest = text.partition(":")
     kind = kind.strip()
@@ -131,10 +125,22 @@ def _parse_budget(text: str) -> BudgetSpec:
     raise ValueError(f"unknown budget kind {kind!r} (expected fixed|uniform|scripted)")
 
 
+def _parse_ranks(text: str) -> tuple[int, ...]:
+    return tuple(int(r) for r in text.split(","))
+
+
+# One parser per type a ModelConfig or ExperimentConfig field declares.
+_PARSERS = {int: int, float: float, str: str, tuple[int, ...]: _parse_ranks, BudgetSpec: _parse_budget}
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
+    """Every ``key = value`` line sets the ModelConfig or ExperimentConfig
+    field of that name, parsed by the type the field declares."""
     errors: list[str] = []
+    model_types = get_type_hints(ModelConfig)
+    key_types = {**model_types, **get_type_hints(ExperimentConfig)}
+    del key_types["model"]
     values: dict[str, object] = {}
-    model_kw: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -144,31 +150,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not eq:
             errors.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
             continue
-        if key not in ALL_KEYS:
+        if key not in key_types:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        if key in values or key in model_kw:
+        if key in values:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
         try:
-            if key in {"n_blocks", "d_model", "n_heads", "vocab_size", "seq_len"}:
-                model_kw[key] = int(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _STR_KEYS:
-                values[key] = val
-            elif key == "rank_set":
-                values[key] = tuple(int(r) for r in val.split(","))
-            else:
-                values[key] = _parse_budget(val)
+            values[key] = _PARSERS[key_types[key]](val)
         except ValueError as e:
             errors.append(f"{key}: {e}")
     cfg = ExperimentConfig()
-    if model_kw:
-        cfg = replace(cfg, model=replace(cfg.model, **model_kw))
-    cfg = replace(cfg, **values)  # type: ignore[arg-type]
+    model_kw = {key: values.pop(key) for key in model_types if key in values}
+    cfg = replace(cfg, model=replace(cfg.model, **model_kw), **values)  # type: ignore[arg-type]
     try:
         cfg.validate()
     except ConfigError as e:

@@ -24,16 +24,16 @@ travel as float32, so both sides merge the float32-rounded aggregation
 delta (the server re-rounds its own copy through the codec) to keep the
 two copies of the base weights bit-identical.
 
-``serve`` runs the one round engine, ``orchestrator.run_round``, with a
+``serve`` runs the one session loop, ``orchestrator.run_session``, with a
 ``RemoteClient`` end per socket, whose calls are the exchanges above, and
 float32 rounding as its delta hook; ``run_client`` drives the in-process
 ``ClientSim`` from the frames it receives. A bad hello or a frame that does
-not fit the round ends the session with ``ProtocolError``.
+not fit the round (wrong tag or client id, non-finite entries) ends the
+session with ``ProtocolError``.
 
 Both ends set TCP_NODELAY: the server writes small frames back to back,
 and under Nagle's algorithm the second would wait for the peer's delayed ACK.
-``serve`` stamps each round's ``duration_s`` around the whole engine call,
-teardown of its locals included, as in-process callers time ``run_round``.
+``run_session`` stamps each round's ``duration_s``, as it does in process.
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 import socket
-import time
 
 import numpy as np
 
 from . import aggregation, model, orchestrator, wire
 from .config import ExperimentConfig
 from .linalg import derive_seed
-from .orchestrator import ClientSim, RoundReport, init_state, make_shard, summarize
+from .orchestrator import ClientSim, RoundReport, init_state, make_shard
 from .weights import SplitPoint, WeightId, all_weight_ids
 
 SHUTDOWN_ROUND = 0xFFFFFFFF
@@ -67,10 +66,15 @@ def _no_delay(sock: socket.socket) -> None:
 
 
 def _recv(sock: socket.socket, tag: int | None = None, client_id: int | None = None) -> wire.WireMessage:
-    """The next frame; with ``tag``, it must carry that tag and ``client_id``."""
+    """The next frame; with ``tag``, it must carry that tag and ``client_id``,
+    and its matrices only finite entries."""
     msg = wire.decode_message(wire.read_frame(sock))
-    if tag is not None and (msg.tag != tag or msg.client_id != client_id):
+    if tag is None:
+        return msg
+    if msg.tag != tag or msg.client_id != client_id:
         raise ProtocolError(f"expected tag {tag} from client {client_id}, got {msg.tag} from {msg.client_id}")
+    if not all(np.isfinite(m).all() for m in msg.matrices):
+        raise ProtocolError(f"client {client_id}: non-finite entries in a tag-{tag} frame")
     return msg
 
 
@@ -132,15 +136,10 @@ def serve(config: ExperimentConfig, host: str, port: int) -> tuple[list[RoundRep
                 raise ProtocolError(f"bad hello (tag {hello.tag}) from client {cid}, connected: {sorted(ends)}")
             ends[cid] = RemoteClient(conn, cid, config)
         clients = [ends[cid] for cid in range(config.n_clients)]
-        reports = []
-        for t in range(1, config.total_rounds + 1):
-            t0 = time.perf_counter()
-            rep = orchestrator.run_round(state, t, clients, _round_f32)
-            rep.duration_s = time.perf_counter() - t0
-            reports.append(rep)
+        result = orchestrator.run_session(state, clients, _round_f32)
         for end in clients:
             _send(end.sock, wire.WireMessage(wire.BARRIER, round=SHUTDOWN_ROUND, client_id=end.client_id))
-    return reports, summarize(state, reports)
+    return result
 
 
 def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -> int:

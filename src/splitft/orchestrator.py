@@ -17,6 +17,10 @@ plugs in a socket end with the same calls, whose remote peer drives its own
 ``ClientSim`` from the frames it receives. Both sides cut round t's batch
 with ``client_batch`` from the shard they hold.
 
+``run_session`` is the only loop over rounds, for both transports: it calls
+``run_round`` once per round, stamps each report's ``duration_s`` around the
+whole call (``run_round`` reads no clock) and summarizes the run.
+
 The server keeps one shared adapter set: gradients are accumulated across
 client batches within the round and applied as a single averaged step.
 Base weights change only through the aggregation merge.
@@ -174,7 +178,7 @@ class RoundReport:
     replanned: bool
     replan_reason: str  # "", "initial", "threshold", "infeasible"
     infeasible_clients: list[int]
-    duration_s: float
+    duration_s: float = 0.0  # stamped by run_session
 
     @property
     def ppls(self) -> dict[int, float]:
@@ -380,7 +384,6 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
     ``round_delta``, when given, maps every aggregated delta before the
     server merges it and hands it to the ends: a transport that delivers a
     rounded delta rounds the server's copy the same way."""
-    t0 = time.perf_counter()
     config = state.config
     ends = state.clients if clients is None else clients
 
@@ -429,7 +432,6 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
     for cid, end in enumerate(ends):
         end.finish(t, losses[cid], merged)
 
-    duration_s = time.perf_counter() - t0
     prev_client, prev_server = state.report_ranks
     client_ranks = (prev_client if prev_client == plan.client_assignments
                     else {cid: dict(a) for cid, a in plan.client_assignments.items()})
@@ -448,22 +450,30 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
         replanned=replanned,
         replan_reason=reason,
         infeasible_clients=sorted(cid for cid, ok in plan.client_feasible.items() if not ok),
-        duration_s=duration_s,
     )
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[list[RoundReport], dict]:
-    state = init_state(config)
-    reports = [run_round(state, t) for t in range(1, config.total_rounds + 1)]
-    return reports, summarize(state, reports)
-
-
-def summarize(state: ExperimentState, reports: list[RoundReport]) -> dict:
+def run_session(state: ExperimentState, clients: list | None = None,
+                round_delta=None) -> tuple[list[RoundReport], dict]:
+    """Every round of the experiment through ``run_round`` with these
+    ``clients`` and ``round_delta``; returns (reports, summary). Each
+    ``duration_s`` spans the whole ``run_round`` call, teardown of its locals
+    included, so no time of a round is left to the caller's set-up."""
+    reports = []
+    for t in range(1, state.config.total_rounds + 1):
+        t0 = time.perf_counter()
+        rep = run_round(state, t, clients, round_delta)
+        rep.duration_s = time.perf_counter() - t0
+        reports.append(rep)
     first, last = reports[0].ppls, reports[-1].ppls
-    return {
+    return reports, {
         "initial_mean_ppl": float(np.mean(list(first.values()))),
         "final_mean_ppl": float(np.mean(list(last.values()))),
         "final_ppl_per_client": {cid: last[cid] for cid in sorted(last)},
         "replan_count": state.replan_count,
         "budget_violations": state.budget_violations,
     }
+
+
+def run_experiment(config: ExperimentConfig) -> tuple[list[RoundReport], dict]:
+    return run_session(init_state(config))

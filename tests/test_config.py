@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
 from splitft.config import BudgetSpec, ConfigError, ExperimentConfig, parse_config_text
+from splitft.model import ModelConfig
 
 
 def test_empty_text_gives_validated_defaults():
@@ -28,6 +31,8 @@ def test_full_round_trip_of_keys():
     batch = 1
     shard_size = 4
     rank_set = 2,4,8
+    kappa_opt = 2.5
+    beta_act = 0.75
     learning_rate = 0.5
     seed = 7
     agg_mode = sum
@@ -43,6 +48,16 @@ def test_full_round_trip_of_keys():
     assert cfg.client_budget == BudgetSpec("fixed", value=5000.0)
     assert cfg.server_budget.kind == "uniform"
     assert cfg.aggregator == "haa"
+    assert cfg == ExperimentConfig(
+        model=ModelConfig(n_blocks=4, d_model=16, n_heads=2, vocab_size=32, seq_len=8),
+        n_clients=2, total_rounds=20, agg_period=5, batch=1, shard_size=4, rank_set=(2, 4, 8),
+        kappa_opt=2.5, beta_act=0.75, learning_rate=0.5, seed=7, agg_mode="sum", aggregator="haa",
+        client_budget=BudgetSpec("fixed", value=5000.0), server_budget=BudgetSpec("uniform", lo=2000.0, hi=3000.0),
+        tau0=0.1, epsilon=0.02,
+    )
+    # Every field is a key, so the text above sets each one.
+    keys = {line.split("=")[0].strip() for line in text.strip().splitlines()}
+    assert keys == {f.name for f in fields(ModelConfig) + fields(ExperimentConfig) if f.name != "model"}
 
 
 def test_scripted_budget_syntax():
@@ -99,3 +114,27 @@ def test_bad_value_types_are_reported():
         parse_config_text("rank_set = 1,two")
     with pytest.raises(ConfigError, match="budget"):
         parse_config_text("client_budget = sometimes:5")
+
+
+def test_key_errors_keep_their_messages():
+    text = ("seed = 1\nseed = 2\nlearning_rte = 1.0\njust words\nrank_set = 1,two\nbatch = 1.5\n"
+            "client_budget = sometimes:5\nmodel = 3\nd_model = x\n")
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(text)
+    assert exc.value.errors == [
+        "line 2: duplicate key 'seed'",
+        "line 3: unknown key 'learning_rte'",
+        "line 4: expected 'key = value', got 'just words'",
+        "rank_set: invalid literal for int() with base 10: 'two'",
+        "batch: invalid literal for int() with base 10: '1.5'",
+        "client_budget: unknown budget kind 'sometimes' (expected fixed|uniform|scripted)",
+        "line 8: unknown key 'model'",
+        "d_model: invalid literal for int() with base 10: 'x'",
+    ]
+
+
+def test_ranks_above_d_model_are_a_rank_set_error():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("d_model = 16\nn_heads = 2")
+    assert exc.value.errors == ["rank_set: ranks must not exceed d_model=16, got (1, 2, 4, 8, 16, 32)"]
+    assert parse_config_text("d_model = 16\nn_heads = 2\nrank_set = 1,2,4,8,16").rank_set == (1, 2, 4, 8, 16)

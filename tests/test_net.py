@@ -103,6 +103,16 @@ def _session(cfg):
     return out["srv"]
 
 
+def _connect(port, deadline):
+    """A raw socket to the server on ``port``, retrying until it listens."""
+    while True:
+        try:
+            return socket.create_connection((HOST, port))
+        except ConnectionRefusedError:
+            assert time.perf_counter() < deadline, "server never listened"
+            time.sleep(0.001)
+
+
 def test_both_ends_set_tcp_nodelay(monkeypatch):
     read_frame = wire.read_frame
     nodelay = {}  # (thread name, socket) -> TCP_NODELAY as read before each frame
@@ -207,13 +217,7 @@ def test_serve_rejects_a_bad_hello(hello_ids):
     socks, deadline = [], time.perf_counter() + 10.0
     try:
         for cid in hello_ids:
-            while True:
-                try:
-                    sock = socket.create_connection((HOST, port))
-                    break
-                except ConnectionRefusedError:
-                    assert time.perf_counter() < deadline, "server never listened"
-                    time.sleep(0.001)
+            sock = _connect(port, deadline)
             socks.append(sock)
             sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=cid)))
         th.join(timeout=10)
@@ -245,19 +249,28 @@ def test_server_and_clients_hold_identical_base_weights(monkeypatch):
             assert np.array_equal(params.attn[wid], W)
 
 
-@pytest.mark.parametrize("bad", [None, "activations-client-id", "barrier-round", "upload-rank"])
+@pytest.mark.parametrize("bad", [None, "activations-client-id", "barrier-round", "upload-rank",
+                                 "activations-nan", "barrier-inf", "upload-nan"])
 def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
     cfg, t, cid = SHORT, 2, 1  # round 2 aggregates
     d, rows = cfg.model.d_model, cfg.batch * cfg.model.seq_len
     plan = {WeightId(0, "Q"): 4, WeightId(0, "K"): 2}
     uploaded = {**plan, WeightId(0, "K"): 4} if bad == "upload-rank" else plan
+
+    def matrix(shape, value, poisoned_by):
+        """A frame matrix; the case ``poisoned_by`` puts a non-finite entry in it."""
+        m = np.full(shape, value)
+        if bad == poisoned_by:
+            m[-1, -1] = np.inf if bad.endswith("inf") else np.nan
+        return m
+
     frames = [
         wire.WireMessage(wire.ACTIVATIONS, client_id=0 if bad == "activations-client-id" else cid,
-                         n_samples=cfg.batch, matrices=(np.ones((rows, d)),)),
+                         n_samples=cfg.batch, matrices=(matrix((rows, d), 1.0, "activations-nan"),)),
         wire.WireMessage(wire.BARRIER, round=t + (bad == "barrier-round"), client_id=cid,
-                         matrices=(np.zeros((len(all_weight_ids(cfg.model.n_blocks)), 1)),)),
+                         matrices=(matrix((len(all_weight_ids(cfg.model.n_blocks)), 1), 0.0, "barrier-inf"),)),
         *(wire.WireMessage(wire.ADAPTER_UPLOAD, client_id=cid, weight_id=wid, n_samples=cfg.shard_size,
-                           matrices=(np.ones((d, r)), np.ones((r, d))))
+                           matrices=(np.ones((d, r)), matrix((r, d), 1.0, "upload-nan")))
           for wid, r in sorted(uploaded.items(), key=lambda item: WeightId.sort_key(item[0]))),
     ]
     ours, theirs = socket.socketpair()
@@ -294,3 +307,55 @@ def test_remote_client_takes_the_batch_from_n_samples(n_samples):
         else:
             with pytest.raises(net.ProtocolError):
                 end.forward(SplitPoint(1), {WeightId(0, "Q"): 4}, 1)
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("close-after-plan", wire.TruncatedError),
+    ("truncated-activations", wire.TruncatedError),
+    ("nan-activations", net.ProtocolError),
+])
+def test_serve_ends_with_a_named_error_when_a_peer_misbehaves(fault, error):
+    """A raw-socket client 0 misbehaves in round 1 beside a real client 1:
+    ``serve`` ends with the named error within a bounded time, and closing
+    its sockets ends client 1 too."""
+    cfg = SHORT
+    port = _free_port()
+    outcome = {}
+
+    def server():
+        try:
+            net.serve(cfg, HOST, port)
+        except Exception as e:
+            outcome["server"] = e
+
+    def client():
+        try:
+            net.run_client(cfg, 1, HOST, port)  # started once the server listens
+        except Exception as e:
+            outcome["client"] = e
+
+    deadline = time.perf_counter() + 10.0
+    threads = [threading.Thread(target=server, name="server", daemon=True),
+               threading.Thread(target=client, name="client-1", daemon=True)]
+    threads[0].start()
+    rows, d = cfg.batch * cfg.model.seq_len, cfg.model.d_model
+    with _connect(port, deadline) as sock:
+        sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=0)))
+        threads[1].start()
+        plan = wire.decode_message(wire.read_frame(sock))
+        assert (plan.tag, plan.client_id) == (wire.PLAN, 0)
+        acts = np.full((rows, d), np.nan if fault == "nan-activations" else 0.5)
+        frame = wire.encode_message(wire.WireMessage(wire.ACTIVATIONS, client_id=0, n_samples=cfg.batch,
+                                                     matrices=(acts,)))
+        if fault == "truncated-activations":
+            sock.sendall(frame[:len(frame) // 2])
+        elif fault == "nan-activations":
+            sock.sendall(frame)
+            threads[0].join(timeout=10)  # the frame is whole; only its entries can end the session
+    for th in threads:
+        th.join(timeout=10)
+        assert not th.is_alive(), f"{th.name} still running after a {fault} peer"
+    assert isinstance(outcome.get("server"), error), outcome.get("server")
+    if error is net.ProtocolError:
+        assert "client 0" in str(outcome["server"])
+    assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")

@@ -301,7 +301,7 @@ def test_each_split_is_planned_once_per_round(monkeypatch):
     base = 1 * mc.seq_len * mc.d_model  # activation cost of one block
     server = {t: 2.5 * base if t == 3 else 3 * base + 2000.0 for t in range(1, 6)}  # j=1 infeasible at t=3
     cfg = replace(
-        SMALL, model=mc, batch=1, total_rounds=5, agg_period=5, seed=1,
+        SMALL, model=mc, batch=1, total_rounds=5, agg_period=5, seed=1, rank_set=(1, 2, 4, 8, 16),
         client_budget=BudgetSpec("fixed", value=3 * base + 2000.0),
         server_budget=BudgetSpec("scripted", table=server),
     ).validate()
