@@ -49,10 +49,9 @@ def new_adapter(weight_id: WeightId, r: int, d_i: int, d_o: int, seed: int) -> L
     return LoraAdapter(weight_id, r, B, A)
 
 
-def reinit(adapter: LoraAdapter, seed: int, r: int | None = None) -> LoraAdapter:
-    """Fresh (B=0, A Gaussian) adapter, optionally at a new rank."""
-    rank = adapter.r if r is None else r
-    return new_adapter(adapter.weight_id, rank, adapter.d_i, adapter.d_o, seed)
+def reinit(adapter: LoraAdapter, seed: int) -> LoraAdapter:
+    """Fresh (B=0, A Gaussian) adapter of the same rank."""
+    return new_adapter(adapter.weight_id, adapter.r, adapter.d_i, adapter.d_o, seed)
 
 
 def adapted_forward(x: Matrix, W0: Matrix, adapter: LoraAdapter | None) -> Matrix:

@@ -28,8 +28,8 @@ two copies of the base weights bit-identical.
 ``RemoteClient`` end per socket, whose calls are the exchanges above, and
 float32 rounding as its delta hook; ``run_client`` drives the in-process
 ``ClientSim`` from the frames it receives. A bad hello or a frame that does
-not fit the round (wrong tag or client id, non-finite entries) ends the
-session with ``ProtocolError``.
+not fit the round (wrong tag, client id or shape, non-finite entries) ends
+the session with ``ProtocolError``.
 
 Both ends set TCP_NODELAY: the server writes small frames back to back,
 and under Nagle's algorithm the second would wait for the peer's delayed ACK.
@@ -95,13 +95,16 @@ class RemoteClient:
         plan = wire.WireMessage(wire.PLAN, client_id=self.client_id, split_j=split.j, seed=t, ranks=self.ranks)
         _send(self.sock, plan)
         msg = _recv(self.sock, wire.ACTIVATIONS, self.client_id)
-        rows, d = msg.matrices[0].shape
-        if msg.n_samples == 0 or rows % msg.n_samples:
-            raise ProtocolError(f"client {self.client_id}: {rows} activation rows are not {msg.n_samples} samples")
-        return msg.matrices[0].reshape(msg.n_samples, rows // msg.n_samples, d)
+        # Activations must have the shape of the targets the server scores them against.
+        batch, seq_len, d = self.config.batch, self.config.model.seq_len, self.config.model.d_model
+        acts = msg.matrices[0]
+        if msg.n_samples != batch or acts.shape != (batch * seq_len, d):
+            raise ProtocolError(f"client {self.client_id}: ACTIVATIONS of {msg.n_samples} samples {acts.shape}, "
+                                f"expected {batch} samples ({batch * seq_len}, {d})")
+        return acts.reshape(batch, seq_len, d)
 
     def backward(self, cut_grad: np.ndarray, t: int) -> tuple[list, list[aggregation.AdapterUpload]]:
-        cid = self.client_id
+        cid, d = self.client_id, self.config.model.d_model
         _send(self.sock, wire.WireMessage(wire.CUT_GRAD, client_id=cid, matrices=(cut_grad,)))
         barrier = _recv(self.sock, wire.BARRIER, cid)
         shapes = [m.shape for m in barrier.matrices]
@@ -111,8 +114,9 @@ class RemoteClient:
         if t % self.config.agg_period == 0:
             for wid, r in self.ranks:
                 up = _recv(self.sock, wire.ADAPTER_UPLOAD, cid)
-                if up.weight_id != wid or up.matrices[0].shape[1] != r:
-                    raise ProtocolError(f"client {cid}: upload of {up.weight_id}, the plan gives {wid} rank {r}")
+                if up.weight_id != wid or [m.shape for m in up.matrices] != [(d, r), (r, d)]:
+                    raise ProtocolError(f"client {cid}: upload of {up.weight_id} {[m.shape for m in up.matrices]}, "
+                                        f"the plan gives {wid} rank {r} on d_model {d}")
                 uploads.append(aggregation.AdapterUpload(cid, wid, *up.matrices, up.n_samples))
         return [(w, float(v)) for w, v in zip(self.wids, barrier.matrices[0][:, 0])], uploads
 

@@ -155,11 +155,6 @@ class ClientSim:
                 self.adapters[wid] = lora.reinit(self.adapters[wid], seed)
 
 
-@dataclass
-class ServerSim:
-    adapters: AdapterSet = field(default_factory=dict)
-
-
 @dataclass(slots=True)
 class RoundReport:
     """One round's outcome. Callers keep every report, so it stores only
@@ -175,10 +170,13 @@ class RoundReport:
     delta_I: float
     tau: float
     aggregated: bool
-    replanned: bool
     replan_reason: str  # "", "initial", "threshold", "infeasible"
     infeasible_clients: list[int]
     duration_s: float = 0.0  # stamped by run_session
+
+    @property
+    def replanned(self) -> bool:
+        return bool(self.replan_reason)
 
     @property
     def ppls(self) -> dict[int, float]:
@@ -190,10 +188,10 @@ class ExperimentState:
     config: ExperimentConfig
     params: ModelParams
     clients: list[ClientSim]
-    server: ServerSim
     table: ImportanceTable
     split_set: list[SplitPoint]
     rank_set: RankSet
+    server_adapters: AdapterSet = field(default_factory=dict)
     plan: RoundPlan | None = None
     tau: float = 0.0
     last_numerators: dict[WeightId, float] = field(default_factory=dict)
@@ -212,7 +210,6 @@ def init_state(config: ExperimentConfig) -> ExperimentState:
         config=config,
         params=params,
         clients=clients,
-        server=ServerSim(),
         table=table,
         split_set=config.model.split_points(),
         rank_set=RankSet(config.rank_set),
@@ -245,8 +242,9 @@ def _round_budgets(config: ExperimentConfig, t: int) -> Budgets:
     return cb, sb
 
 
-def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundPlan, float, bool, str]:
-    """Returns (plan, delta_I, replanned, reason) under the round's budgets.
+def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundPlan, float, str]:
+    """Returns (plan, delta_I, reason) under the round's budgets; the reason
+    is "" for a rank-only re-fit and names the cause of a re-selection.
     Every candidate split is planned once; delta_I, the rank-only re-fit and
     a re-selection all read those plans."""
     config = state.config
@@ -260,7 +258,7 @@ def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundP
         for s in state.split_set
     }
     if state.plan is None:
-        return planner.best_plan(plans.values()), 0.0, True, "initial"
+        return planner.best_plan(plans.values()), 0.0, "initial"
 
     current = state.plan.split
     rank_only = plans[current]
@@ -271,8 +269,8 @@ def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundP
 
     feasible = rank_only.server_feasible and all(rank_only.client_feasible.values())
     if planner.decide_adjustment(delta_I, state.tau, feasible):
-        return planner.best_plan(plans.values()), delta_I, True, "threshold" if feasible else "infeasible"
-    return rank_only, delta_I, False, ""
+        return planner.best_plan(plans.values()), delta_I, "threshold" if feasible else "infeasible"
+    return rank_only, delta_I, ""
 
 
 def _check_budgets(state: ExperimentState, plan: RoundPlan, budgets: Budgets) -> None:
@@ -316,7 +314,7 @@ def _group_step(
     time. Its first forward starts only once the previous client's forward
     (both halves) has returned: forward halves run in client order, and the
     activation caches of two lanes peak at different moments."""
-    params, server_ads, cfg = state.params, state.server.adapters, state.config
+    params, server_ads, cfg = state.params, state.server_adapters, state.config
     cids = [end.client_id for end in group]
     if cids[0]:
         turns[cids[0] - 1].wait()
@@ -389,13 +387,13 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
 
     # (1) importance refresh + planning
     budgets = _round_budgets(config, t)
-    plan, delta_I, replanned, reason = plan_round(state, t, budgets)
-    if replanned:
+    plan, delta_I, reason = plan_round(state, t, budgets)
+    if reason:
         state.replan_count += 1
     state.plan = plan
     _check_budgets(state, plan, budgets)
-    state.server.adapters = _reconcile_adapters(
-        state.server.adapters, plan.server_assignment, config.model.d_model, (config.seed, "adapter", t, -1)
+    state.server_adapters = _reconcile_adapters(
+        state.server_adapters, plan.server_assignment, config.model.d_model, (config.seed, "adapter", t, -1)
     )
 
     # (2) forward/backward per client, SGD on adapters; results reduced in client order
@@ -417,7 +415,7 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
 
     n = len(ends)
     for wid, (dB, dA) in server_grad_acc.items():
-        ad = state.server.adapters[wid]
+        ad = state.server_adapters[wid]
         ad.B = ad.B - lr * (dB / n)
         ad.A = ad.A - lr * (dA / n)
     state.last_numerators = numerators
@@ -447,7 +445,6 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
         delta_I=delta_I,
         tau=state.tau,
         aggregated=aggregated,
-        replanned=replanned,
         replan_reason=reason,
         infeasible_clients=sorted(cid for cid, ok in plan.client_feasible.items() if not ok),
     )

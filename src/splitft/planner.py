@@ -7,7 +7,10 @@ costs beta_act * batch * seq_len * d_model of activation memory.
 
 Ranks are assigned greedily to weights in descending blended importance,
 each weight taking the largest rank in the rank set that still fits the
-remaining budget. The split point is chosen by maximizing the global
+remaining budget. All trainable weights are square d_model x d_model, so a
+rank costs the same on each: the ranks are priced once per pass, and the
+pass stops at the first weight no rank fits, as the budget left then fits
+no later weight either. The split point is chosen by maximizing the global
 importance score over all candidate splits; ties break toward the smallest
 split index, and weight ordering ties break by (block asc, Q<K<V<O).
 """
@@ -47,9 +50,6 @@ class RankSet:
         if list(self.ranks) != sorted(set(self.ranks)):
             raise ValueError(f"rank set must be strictly increasing, got {self.ranks}")
 
-    def descending(self) -> tuple[int, ...]:
-        return tuple(reversed(self.ranks))
-
 
 @dataclass
 class RoundPlan:
@@ -66,7 +66,6 @@ class RoundPlan:
 def adapter_cost(weight_id: WeightId, r: int, cost_model: CostModel) -> float:
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
-    # All trainable weights are square d_model x d_model.
     return cost_model.kappa_opt * r * (2 * cost_model.d_model)
 
 
@@ -97,38 +96,35 @@ def sort_candidates(weight_ids: list[WeightId], table: ImportanceTable) -> list[
 def greedy_assign(
     budget_remaining: float, candidates: list[WeightId], Q: RankSet, cost_model: CostModel
 ) -> Assignment:
+    # Every rank is priced once, on the first candidate (see the module docstring).
+    priced = [(r, adapter_cost(wid, r, cost_model)) for wid in candidates[:1] for r in reversed(Q.ranks)]
     assignment: Assignment = {}
     remaining = budget_remaining
     for wid in candidates:
-        for r in Q.descending():
-            c = adapter_cost(wid, r, cost_model)
+        for r, c in priced:
             if c <= remaining:
                 assignment[wid] = r
                 remaining -= c
                 break
+        else:
+            break
     return assignment
 
 
 def global_importance(
-    split: SplitPoint,
     client_assignments: dict[int, Assignment],
     server_assignment: Assignment,
     table: ImportanceTable,
     cost_model: CostModel,
 ) -> float:
-    def theta(wid: WeightId, r: int) -> float:
-        return table.blended(wid) / adapter_cost(wid, r, cost_model)
+    """Mean blended importance per unit of adapter cost over every client's
+    adapters, plus the same mean over the server's; a side with none adds 0."""
+    def mean_theta(adapters: Iterable[tuple[WeightId, int]]) -> float:
+        thetas = [table.blended(wid) / adapter_cost(wid, r, cost_model) for wid, r in adapters]
+        return sum(thetas) / len(thetas) if thetas else 0.0
 
-    n_client_weights = sum(len(a) for a in client_assignments.values())
-    client_term = 0.0
-    if n_client_weights:
-        client_term = sum(
-            theta(wid, r) for a in client_assignments.values() for wid, r in a.items()
-        ) / n_client_weights
-    server_term = 0.0
-    if server_assignment:
-        server_term = sum(theta(wid, r) for wid, r in server_assignment.items()) / len(server_assignment)
-    return client_term + server_term
+    return (mean_theta(item for a in client_assignments.values() for item in a.items())
+            + mean_theta(server_assignment.items()))
 
 
 def plan_for_split(
@@ -139,22 +135,24 @@ def plan_for_split(
     Q: RankSet,
     cost_model: CostModel,
 ) -> RoundPlan:
-    wids = all_weight_ids(cost_model.n_blocks)
-    client_wids = sort_candidates([w for w in wids if split.client_side(w)], table)
-    server_wids = sort_candidates([w for w in wids if not split.client_side(w)], table)
+    # The sort key is a total order, so each side's filtered list is in sorted order.
+    ordered = sort_candidates(all_weight_ids(cost_model.n_blocks), table)
+    client_wids = [w for w in ordered if split.client_side(w)]
+    server_wids = [w for w in ordered if not split.client_side(w)]
+
+    def plan_side(side: str, budget: float, candidates: list[WeightId]) -> tuple[Assignment, bool]:
+        remaining = budget - base_side_cost(split, side, cost_model)
+        if remaining >= 0:
+            return greedy_assign(remaining, candidates, Q, cost_model), True
+        return {}, False
 
     client_assignments: dict[int, Assignment] = {}
     client_feasible: dict[int, bool] = {}
     for cid in sorted(client_budgets):
-        remaining = client_budgets[cid] - base_side_cost(split, "client", cost_model)
-        client_feasible[cid] = remaining >= 0
-        client_assignments[cid] = greedy_assign(max(remaining, 0.0), client_wids, Q, cost_model) if remaining >= 0 else {}
+        client_assignments[cid], client_feasible[cid] = plan_side("client", client_budgets[cid], client_wids)
+    server_assignment, server_feasible = plan_side("server", server_budget, server_wids)
 
-    s_remaining = server_budget - base_side_cost(split, "server", cost_model)
-    server_feasible = s_remaining >= 0
-    server_assignment = greedy_assign(max(s_remaining, 0.0), server_wids, Q, cost_model) if server_feasible else {}
-
-    ig = global_importance(split, client_assignments, server_assignment, table, cost_model)
+    ig = global_importance(client_assignments, server_assignment, table, cost_model)
     return RoundPlan(split, client_assignments, server_assignment, ig, client_feasible, server_feasible)
 
 

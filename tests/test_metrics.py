@@ -20,7 +20,6 @@ def _report(t=1, cids=(0,), aggregated=False):
         delta_I=0.0,
         tau=0.05,
         aggregated=aggregated,
-        replanned=False,
         replan_reason="",
         infeasible_clients=[],
         duration_s=0.01,

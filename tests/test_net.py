@@ -250,7 +250,8 @@ def test_server_and_clients_hold_identical_base_weights(monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [None, "activations-client-id", "barrier-round", "upload-rank",
-                                 "activations-nan", "barrier-inf", "upload-nan"])
+                                 "activations-nan", "barrier-inf", "upload-nan",
+                                 "activations-width", "upload-width"])
 def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
     cfg, t, cid = SHORT, 2, 1  # round 2 aggregates
     d, rows = cfg.model.d_model, cfg.batch * cfg.model.seq_len
@@ -266,11 +267,12 @@ def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
 
     frames = [
         wire.WireMessage(wire.ACTIVATIONS, client_id=0 if bad == "activations-client-id" else cid,
-                         n_samples=cfg.batch, matrices=(matrix((rows, d), 1.0, "activations-nan"),)),
+                         n_samples=cfg.batch,
+                         matrices=(matrix((rows, d // (1 + (bad == "activations-width"))), 1.0, "activations-nan"),)),
         wire.WireMessage(wire.BARRIER, round=t + (bad == "barrier-round"), client_id=cid,
                          matrices=(matrix((len(all_weight_ids(cfg.model.n_blocks)), 1), 0.0, "barrier-inf"),)),
         *(wire.WireMessage(wire.ADAPTER_UPLOAD, client_id=cid, weight_id=wid, n_samples=cfg.shard_size,
-                           matrices=(np.ones((d, r)), matrix((r, d), 1.0, "upload-nan")))
+                           matrices=(np.ones((d // (1 + (bad == "upload-width")), r)), matrix((r, d), 1.0, "upload-nan")))
           for wid, r in sorted(uploaded.items(), key=lambda item: WeightId.sort_key(item[0]))),
     ]
     ours, theirs = socket.socketpair()
@@ -301,7 +303,7 @@ def test_remote_client_takes_the_batch_from_n_samples(n_samples):
         theirs.sendall(wire.encode_message(
             wire.WireMessage(wire.ACTIVATIONS, client_id=cid, n_samples=n_samples, matrices=(acts,))))
         end = net.RemoteClient(ours, cid, cfg)
-        if n_samples and rows % n_samples == 0:
+        if n_samples == cfg.batch:
             got = end.forward(SplitPoint(1), {WeightId(0, "Q"): 4}, 1)
             assert np.array_equal(got, acts.reshape(n_samples, rows // n_samples, d))
         else:
@@ -313,6 +315,7 @@ def test_remote_client_takes_the_batch_from_n_samples(n_samples):
     ("close-after-plan", wire.TruncatedError),
     ("truncated-activations", wire.TruncatedError),
     ("nan-activations", net.ProtocolError),
+    ("narrow-activations", net.ProtocolError),
 ])
 def test_serve_ends_with_a_named_error_when_a_peer_misbehaves(fault, error):
     """A raw-socket client 0 misbehaves in round 1 beside a real client 1:
@@ -344,14 +347,15 @@ def test_serve_ends_with_a_named_error_when_a_peer_misbehaves(fault, error):
         threads[1].start()
         plan = wire.decode_message(wire.read_frame(sock))
         assert (plan.tag, plan.client_id) == (wire.PLAN, 0)
-        acts = np.full((rows, d), np.nan if fault == "nan-activations" else 0.5)
+        acts = np.full((rows, d // 2 if fault == "narrow-activations" else d),
+                       np.nan if fault == "nan-activations" else 0.5)
         frame = wire.encode_message(wire.WireMessage(wire.ACTIVATIONS, client_id=0, n_samples=cfg.batch,
                                                      matrices=(acts,)))
         if fault == "truncated-activations":
             sock.sendall(frame[:len(frame) // 2])
-        elif fault == "nan-activations":
+        elif fault in ("nan-activations", "narrow-activations"):
             sock.sendall(frame)
-            threads[0].join(timeout=10)  # the frame is whole; only its entries can end the session
+            threads[0].join(timeout=10)  # the frame is whole; only its entries or shape can end the session
     for th in threads:
         th.join(timeout=10)
         assert not th.is_alive(), f"{th.name} still running after a {fault} peer"

@@ -206,11 +206,12 @@ def test_lanes_and_inline_runs_are_bit_identical(monkeypatch):
     assert csv_a == csv_b
     for wid, W in b.params.attn.items():
         assert np.array_equal(a.params.attn[wid], W)
-    for side_a, side_b in zip([*a.clients, a.server], [*b.clients, b.server]):
-        assert side_a.adapters.keys() == side_b.adapters.keys()
-        for wid, ad in side_b.adapters.items():
-            assert np.array_equal(side_a.adapters[wid].B, ad.B)
-            assert np.array_equal(side_a.adapters[wid].A, ad.A)
+    for ads_a, ads_b in zip([*(c.adapters for c in a.clients), a.server_adapters],
+                            [*(c.adapters for c in b.clients), b.server_adapters]):
+        assert ads_a.keys() == ads_b.keys()
+        for wid, ad in ads_b.items():
+            assert np.array_equal(ads_a[wid].B, ad.B)
+            assert np.array_equal(ads_a[wid].A, ad.A)
 
 
 def test_forward_halves_start_in_client_order_under_lanes(monkeypatch):
@@ -347,11 +348,12 @@ def test_group_sizes_give_bit_identical_runs(monkeypatch):
         assert csv_a == csv_b
         for wid, W in b.params.attn.items():
             assert np.array_equal(a.params.attn[wid], W)
-        for side_a, side_b in zip([*a.clients, a.server], [*b.clients, b.server]):
-            assert side_a.adapters.keys() == side_b.adapters.keys()
-            for wid, ad in side_b.adapters.items():
-                assert np.array_equal(side_a.adapters[wid].B, ad.B)
-                assert np.array_equal(side_a.adapters[wid].A, ad.A)
+        for ads_a, ads_b in zip([*(c.adapters for c in a.clients), a.server_adapters],
+                                [*(c.adapters for c in b.clients), b.server_adapters]):
+            assert ads_a.keys() == ads_b.keys()
+            for wid, ad in ads_b.items():
+                assert np.array_equal(ads_a[wid].B, ad.B)
+                assert np.array_equal(ads_a[wid].A, ad.A)
         assert a.last_numerators == b.last_numerators
 
 

@@ -25,7 +25,6 @@ def test_rank_set_validation():
         RankSet((1, 1, 2))
     with pytest.raises(ValueError):
         RankSet(())
-    assert RankSet((1, 4, 8)).descending() == (8, 4, 1)
 
 
 def test_adapter_cost_linear_in_rank_and_width():
@@ -72,9 +71,44 @@ def test_greedy_assign_empty_when_nothing_fits():
     assert planner.greedy_assign(1.0, cands, RankSet((1, 2)), CM) == {}
 
 
+SIXTY_FOUR = [WeightId(b, k) for b in range(16) for k in ("Q", "K", "V", "O")]
+
+
+def test_greedy_assign_prices_each_rank_once_and_stops_when_the_budget_is_spent(monkeypatch):
+    calls = []
+
+    def counting(wid, r, cost_model):
+        calls.append((wid, r))
+        return adapter_cost(wid, r, cost_model)
+
+    monkeypatch.setattr(planner, "adapter_cost", counting)
+    Q = RankSet((1, 2, 4, 8, 16, 32))
+    unit = adapter_cost(WeightId(0, "Q"), 1, CM)
+    got = planner.greedy_assign(2 * 32 * unit, SIXTY_FOUR, Q, CM)
+    assert got == {SIXTY_FOUR[0]: 32, SIXTY_FOUR[1]: 32}
+    assert len(calls) <= len(Q.ranks)
+
+
+def test_greedy_assign_matches_naive_oracle_when_the_budget_runs_out():
+    rng = np.random.default_rng(11)
+    ran_out = 0
+    for _ in range(500):
+        cm = CostModel(d_model=int(rng.integers(1, 9)) * 8, n_blocks=16, batch=1, seq_len=1,
+                       kappa_opt=float(rng.integers(1, 5)))
+        ranks = tuple(sorted(rng.choice([1, 2, 3, 4, 6, 8, 16, 32], size=int(rng.integers(1, 6)),
+                                        replace=False).tolist()))
+        n = int(rng.integers(0, len(SIXTY_FOUR) + 1))
+        unit = adapter_cost(WeightId(0, "Q"), 1, cm)
+        budget = float(rng.uniform(0, 3 * ranks[-1] * unit))
+        got = planner.greedy_assign(budget, SIXTY_FOUR[:n], RankSet(ranks), cm)
+        assert got == reference.naive_greedy_assign(budget, SIXTY_FOUR[:n], ranks, unit)
+        ran_out += 0 < len(got) < n
+    assert ran_out > 100  # most instances spend the budget partway through the list
+
+
 def test_global_importance_zero_over_zero_is_zero():
     table = _table(4, {})
-    assert planner.global_importance(SplitPoint(1), {0: {}}, {}, table, CM) == 0.0
+    assert planner.global_importance({0: {}}, {}, table, CM) == 0.0
 
 
 def test_plan_for_split_marks_infeasible_sides():
