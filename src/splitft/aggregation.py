@@ -6,6 +6,11 @@ identity makes the product exactly the sum of per-client B_n A_n, so
 aggregation adds no noise regardless of rank heterogeneity. The averaging
 baseline (mean the factors, then multiply) requires equal ranks and is
 biased whenever clients differ.
+
+``aggregate`` returns one delta per uploaded weight. Rounds merge it into
+the frozen base (``model.merge_update``, in ``orchestrator.run_round``) and
+each owner re-inits its adapter (``ClientSim.finish``); this module only
+computes the delta.
 """
 
 from __future__ import annotations
@@ -14,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lora, model
-from .linalg import Matrix, ShapeError, derive_seed
-from .lora import LoraAdapter
-from .model import ModelParams
+from .linalg import Matrix, ShapeError
 from .weights import WeightId
 
 AGG_MODES = ("sum", "weighted")
@@ -60,24 +62,13 @@ def _checked_sorted(uploads: list[AdapterUpload]) -> list[AdapterUpload]:
     return ups
 
 
-def concat(uploads: list[AdapterUpload]) -> tuple[Matrix, Matrix]:
-    ups = _checked_sorted(uploads)
-    B_cat = np.concatenate([u.B for u in ups], axis=1)
-    A_cat = np.concatenate([u.A for u in ups], axis=0)
-    return B_cat, A_cat
-
-
 def naa_delta(uploads: list[AdapterUpload], mode: str = "weighted") -> Matrix:
     if mode not in AGG_MODES:
         raise ValueError(f"mode must be one of {AGG_MODES}, got {mode!r}")
     ups = _checked_sorted(uploads)
-    if mode == "weighted":
-        total = sum(u.n_samples for u in ups)
-        ups = [
-            AdapterUpload(u.client_id, u.weight_id, (u.n_samples / total) * u.B, u.A, u.n_samples)
-            for u in ups
-        ]
-    B_cat, A_cat = concat(ups)
+    total = sum(u.n_samples for u in ups)
+    B_cat = np.concatenate([(u.n_samples / total) * u.B if mode == "weighted" else u.B for u in ups], axis=1)
+    A_cat = np.concatenate([u.A for u in ups], axis=0)
     return B_cat @ A_cat
 
 
@@ -89,22 +80,6 @@ def haa_delta(uploads: list[AdapterUpload]) -> Matrix:
     B_mean = np.mean([u.B for u in ups], axis=0)
     A_mean = np.mean([u.A for u in ups], axis=0)
     return B_mean @ A_mean
-
-
-def apply_and_reinit(
-    params: ModelParams,
-    weight_id: WeightId,
-    delta: Matrix,
-    adapters_for_weight: dict[int, LoraAdapter],
-    seed: int,
-) -> dict[int, LoraAdapter]:
-    """Merge the aggregated delta into the base weight and hand every owner
-    a fresh (B=0, A Gaussian) adapter at its current rank."""
-    params.attn[weight_id] = model.merge_update(params.attn[weight_id], delta)
-    return {
-        cid: lora.reinit(ad, derive_seed(seed, "reinit", cid, weight_id.block, weight_id.kind))
-        for cid, ad in adapters_for_weight.items()
-    }
 
 
 def aggregate(uploads: list[AdapterUpload], aggregator: str, mode: str) -> dict[WeightId, Matrix]:

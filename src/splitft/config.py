@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import get_type_hints
 
+from .aggregation import AGG_MODES
 from .model import ModelConfig
 from .planner import DEFAULT_EPSILON, DEFAULT_RANK_SET, DEFAULT_TAU0, CostModel, RankSet
 
@@ -79,7 +80,7 @@ class ExperimentConfig:
                           ("beta_act", self.beta_act), ("tau0", self.tau0), ("epsilon", self.epsilon)):
             if val <= 0:
                 errs.append(f"{name} must be positive, got {val}")
-        if self.agg_mode not in ("sum", "weighted"):
+        if self.agg_mode not in AGG_MODES:
             errs.append(f"agg_mode must be sum|weighted, got {self.agg_mode!r}")
         if self.aggregator not in ("naa", "haa"):
             errs.append(f"aggregator must be naa|haa, got {self.aggregator!r}")

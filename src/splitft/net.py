@@ -27,9 +27,11 @@ two copies of the base weights bit-identical.
 ``serve`` runs the one session loop, ``orchestrator.run_session``, with a
 ``RemoteClient`` end per socket, whose calls are the exchanges above, and
 float32 rounding as its delta hook; ``run_client`` drives the in-process
-``ClientSim`` from the frames it receives. A bad hello or a frame that does
-not fit the round (wrong tag, client id or shape, non-finite entries) ends
-the session with ``ProtocolError``.
+``ClientSim`` from the frames it receives. A bad hello, a frame that does
+not fit the round (wrong tag, client id or shape, non-finite entries; on the
+client, a split out of range, a PLAN entry off the client side or off the
+rank set, an AGG_UPDATE for a weight the model lacks) or a peer silent for
+``PEER_TIMEOUT_S`` ends the session with ``ProtocolError``.
 
 Both ends set TCP_NODELAY: the server writes small frames back to back,
 and under Nagle's algorithm the second would wait for the peer's delayed ACK.
@@ -51,6 +53,12 @@ from .orchestrator import ClientSim, RoundReport, init_state, make_shard
 from .weights import SplitPoint, WeightId, all_weight_ids
 
 SHUTDOWN_ROUND = 0xFFFFFFFF
+# Longest wait for a peer's next frame. The longest legitimate silence is a
+# client waiting for its first PLAN while the server accepts clients that
+# are still being started, possibly by hand (``splitft run --mode
+# net-client``); rounds of the configured scales take well under a second.
+# Five minutes covers both, so only a stalled peer reaches it.
+PEER_TIMEOUT_S = 300.0
 
 
 class ProtocolError(wire.WireError):
@@ -61,20 +69,22 @@ def _send(sock: socket.socket, msg: wire.WireMessage) -> None:
     sock.sendall(wire.encode_message(msg))
 
 
-def _no_delay(sock: socket.socket) -> None:
+def _tune(sock: socket.socket) -> None:
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.settimeout(PEER_TIMEOUT_S)
 
 
-def _recv(sock: socket.socket, tag: int | None = None, client_id: int | None = None) -> wire.WireMessage:
-    """The next frame; with ``tag``, it must carry that tag and ``client_id``,
-    and its matrices only finite entries."""
-    msg = wire.decode_message(wire.read_frame(sock))
-    if tag is None:
-        return msg
-    if msg.tag != tag or msg.client_id != client_id:
-        raise ProtocolError(f"expected tag {tag} from client {client_id}, got {msg.tag} from {msg.client_id}")
+def _recv(sock: socket.socket, peer: str, tag: int | None = None, client_id: int | None = None) -> wire.WireMessage:
+    """The next frame from ``peer``, with only finite matrix entries; with
+    ``tag``, it must carry that tag and ``client_id``."""
+    try:
+        msg = wire.decode_message(wire.read_frame(sock))
+    except TimeoutError:
+        raise ProtocolError(f"{peer}: no frame within {PEER_TIMEOUT_S} s") from None
     if not all(np.isfinite(m).all() for m in msg.matrices):
-        raise ProtocolError(f"client {client_id}: non-finite entries in a tag-{tag} frame")
+        raise ProtocolError(f"{peer}: non-finite entries in a tag-{msg.tag} frame")
+    if tag is not None and (msg.tag != tag or msg.client_id != client_id):
+        raise ProtocolError(f"{peer}: expected tag {tag} for client {client_id}, got {msg.tag} for {msg.client_id}")
     return msg
 
 
@@ -94,7 +104,7 @@ class RemoteClient:
         self.ranks = tuple((wid, assignment[wid]) for wid in sorted(assignment, key=WeightId.sort_key))
         plan = wire.WireMessage(wire.PLAN, client_id=self.client_id, split_j=split.j, seed=t, ranks=self.ranks)
         _send(self.sock, plan)
-        msg = _recv(self.sock, wire.ACTIVATIONS, self.client_id)
+        msg = _recv(self.sock, f"client {self.client_id}", wire.ACTIVATIONS, self.client_id)
         # Activations must have the shape of the targets the server scores them against.
         batch, seq_len, d = self.config.batch, self.config.model.seq_len, self.config.model.d_model
         acts = msg.matrices[0]
@@ -106,14 +116,14 @@ class RemoteClient:
     def backward(self, cut_grad: np.ndarray, t: int) -> tuple[list, list[aggregation.AdapterUpload]]:
         cid, d = self.client_id, self.config.model.d_model
         _send(self.sock, wire.WireMessage(wire.CUT_GRAD, client_id=cid, matrices=(cut_grad,)))
-        barrier = _recv(self.sock, wire.BARRIER, cid)
+        barrier = _recv(self.sock, f"client {cid}", wire.BARRIER, cid)
         shapes = [m.shape for m in barrier.matrices]
         if barrier.round != t or shapes != [(len(self.wids), 1)]:
             raise ProtocolError(f"client {cid}: round-{barrier.round} BARRIER {shapes}, expected round {t}")
         uploads = []
         if t % self.config.agg_period == 0:
             for wid, r in self.ranks:
-                up = _recv(self.sock, wire.ADAPTER_UPLOAD, cid)
+                up = _recv(self.sock, f"client {cid}", wire.ADAPTER_UPLOAD, cid)
                 if up.weight_id != wid or [m.shape for m in up.matrices] != [(d, r), (r, d)]:
                     raise ProtocolError(f"client {cid}: upload of {up.weight_id} {[m.shape for m in up.matrices]}, "
                                         f"the plan gives {wid} rank {r} on d_model {d}")
@@ -133,8 +143,8 @@ def serve(config: ExperimentConfig, host: str, port: int) -> tuple[list[RoundRep
     with socket.create_server((host, port)) as srv, contextlib.ExitStack() as conns:
         while len(ends) < config.n_clients:
             conn = conns.enter_context(srv.accept()[0])
-            _no_delay(conn)
-            hello = _recv(conn)
+            _tune(conn)
+            hello = _recv(conn, "a connecting peer")
             cid = hello.client_id
             if hello.tag != wire.BARRIER or not 0 <= cid < config.n_clients or cid in ends:
                 raise ProtocolError(f"bad hello (tag {hello.tag}) from client {cid}, connected: {sorted(ends)}")
@@ -154,19 +164,28 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
         params = model.build_model(config.model, derive_seed(config.seed, "model"))
         sim = ClientSim(client_id, make_shard(config, client_id), params, config)
         wids = all_weight_ids(config.model.n_blocks)
-        _no_delay(sock)
+        rows, d = config.batch * config.model.seq_len, config.model.d_model
+        _tune(sock)
         _send(sock, wire.WireMessage(wire.BARRIER, round=0, client_id=client_id))
         for rounds in itertools.count():
-            plan = _recv(sock)
+            plan = _recv(sock, "server")
             if plan.tag == wire.BARRIER and plan.round == SHUTDOWN_ROUND:
                 return rounds
             if plan.tag != wire.PLAN:
                 raise ProtocolError(f"expected PLAN, got tag {plan.tag}")
+            split = SplitPoint(plan.split_j)
+            off_plan = [(wid, r) for wid, r in plan.ranks if not split.client_side(wid) or r not in config.rank_set]
+            if not 1 <= split.j < config.model.n_blocks or off_plan:
+                raise ProtocolError(f"client {client_id}: PLAN at split {split.j} of {config.model.n_blocks} blocks "
+                                    f"with entries off the client side or the rank set {off_plan}")
             t = plan.seed
-            acts = sim.forward(SplitPoint(plan.split_j), dict(plan.ranks), t)
+            acts = sim.forward(split, dict(plan.ranks), t)
             _send(sock, wire.WireMessage(wire.ACTIVATIONS, client_id=client_id, n_samples=config.batch,
                                          matrices=(acts.reshape(-1, acts.shape[-1]),)))
-            numerators, uploads = sim.backward(_recv(sock, wire.CUT_GRAD, client_id).matrices[0], t)
+            cut_grad = _recv(sock, "server", wire.CUT_GRAD, client_id).matrices[0]
+            if cut_grad.shape != (rows, d):
+                raise ProtocolError(f"client {client_id}: CUT_GRAD {cut_grad.shape}, expected {(rows, d)}")
+            numerators, uploads = sim.backward(cut_grad, t)
             mine = dict(numerators)
             vec = np.array([[mine.get(w, 0.0)] for w in wids])
             _send(sock, wire.WireMessage(wire.BARRIER, round=t, client_id=client_id, matrices=(vec,)))
@@ -175,9 +194,13 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
                                              n_samples=up.n_samples, matrices=(up.B, up.A)))
 
             merged = {}
-            while (tail := _recv(sock)).tag == wire.AGG_UPDATE:
-                merged[tail.weight_id] = tail.matrices[0]
-                params.attn[tail.weight_id] = model.merge_update(params.attn[tail.weight_id], tail.matrices[0])
+            while (tail := _recv(sock, "server")).tag == wire.AGG_UPDATE:
+                delta = tail.matrices[0]
+                if tail.weight_id not in params.attn or delta.shape != (d, d):
+                    raise ProtocolError(f"client {client_id}: AGG_UPDATE of {tail.weight_id} {delta.shape}, "
+                                        f"expected a model weight ({d}, {d})")
+                merged[tail.weight_id] = delta
+                params.attn[tail.weight_id] = model.merge_update(params.attn[tail.weight_id], delta)
             if tail.tag != wire.BARRIER:
                 raise ProtocolError(f"expected AGG_UPDATE or BARRIER, got tag {tail.tag}")
             sim.finish(t, tail.loss, merged)

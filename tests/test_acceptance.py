@@ -30,7 +30,7 @@ from splitft.importance import ImportanceTable, balance
 from splitft.linalg import derive_seed
 from splitft.metrics import write_csv
 from splitft.model import ModelConfig
-from splitft.orchestrator import run_experiment
+from splitft.orchestrator import ClientSim, run_experiment
 from splitft.planner import RankSet
 from splitft.weights import KINDS, SplitPoint, WeightId
 
@@ -139,24 +139,26 @@ def test_criterion_4_split_transparency():
 
 
 def test_criterion_5_merge_equivalence():
+    """The merge rounds run: ``aggregate``, ``model.merge_update`` into the
+    base, then the owner's re-init in ``ClientSim.finish``."""
     cfg = ModelConfig(n_blocks=2, d_model=8, n_heads=2, vocab_size=7, seq_len=4)
     params = model.build_model(cfg, 21)
     rng = np.random.default_rng(5)
     split = SplitPoint(1)
     tokens = rng.integers(0, 7, size=(2, 4))
-    adapters = {}
+    client = ClientSim(0, tokens, params, replace(ExperimentConfig(), model=cfg, seed=99))
     for wid in (WeightId(0, "Q"), WeightId(0, "V")):
         ad = lora.new_adapter(wid, 4, 8, 8, derive_seed(21, str(wid)))
         ad.B = 0.2 * rng.standard_normal((8, 4))
-        adapters[wid] = ad
+        client.adapters[wid] = ad
 
-    before, _ = model.forward_client(params, adapters, tokens, split)
-    for wid in list(adapters):
-        delta = aggregation.naa_delta(
-            [AdapterUpload(0, wid, adapters[wid].B, adapters[wid].A, 4)], "sum"
-        )
-        adapters[wid] = aggregation.apply_and_reinit(params, wid, delta, {0: adapters[wid]}, 99)[0]
-    after, _ = model.forward_client(params, adapters, tokens, split)
+    before, _ = model.forward_client(params, client.adapters, tokens, split)
+    uploads = [AdapterUpload(0, wid, ad.B, ad.A, 4) for wid, ad in client.adapters.items()]
+    merged = aggregation.aggregate(uploads, "naa", "sum")
+    for wid, delta in merged.items():
+        params.attn[wid] = model.merge_update(params.attn[wid], delta)
+    client.finish(1, 0.0, merged)
+    after, _ = model.forward_client(params, client.adapters, tokens, split)
     err = float(np.abs(before - after).max())
     ok = err <= 1e-12
     _verdict(5, "merge equivalence", ok, f"pre/post-merge forward diff {err:.2e} <= 1e-12")

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from splitft import aggregation, lora, model
 from splitft.aggregation import AdapterUpload, RankMismatchError
+from splitft.config import ExperimentConfig
 from splitft.linalg import ShapeError
 from splitft.model import ModelConfig
+from splitft.orchestrator import ClientSim
 from splitft.weights import SplitPoint, WeightId
 
 WID = WeightId(0, "Q")
@@ -19,13 +23,12 @@ def _uploads(ranks, d=8, seed=0, n_samples=None):
     ]
 
 
-def test_concat_shapes_and_order():
-    ups = _uploads([2, 4, 1])
-    B, A = aggregation.concat(list(reversed(ups)))  # order must not matter
-    assert B.shape == (8, 7)
-    assert A.shape == (7, 8)
-    assert np.array_equal(B[:, :2], ups[0].B)  # client ids ascending
-    assert np.array_equal(A[6:], ups[2].A)
+def test_naa_is_invariant_to_upload_order():
+    ups = _uploads([2, 4, 1], n_samples=[1, 2, 3])
+    for mode in aggregation.AGG_MODES:
+        want = aggregation.naa_delta(ups, mode)
+        for order in ([2, 1, 0], [1, 2, 0], [2, 0, 1]):
+            assert np.array_equal(aggregation.naa_delta([ups[i] for i in order], mode), want)
 
 
 def test_sum_mode_is_exact_sum_of_products():
@@ -96,11 +99,14 @@ def test_merge_then_reinit_preserves_the_forward():
     ad.B = 0.2 * rng.standard_normal((8, 4))
     tokens = rng.integers(0, 7, size=(2, 4))
     split = SplitPoint(1)
+    client = ClientSim(0, tokens, params, replace(ExperimentConfig(), model=cfg, seed=3), {wid: ad})
 
-    before, _ = model.forward_client(params, {wid: ad}, tokens, split)
+    before, _ = model.forward_client(params, client.adapters, tokens, split)
     delta = aggregation.naa_delta([AdapterUpload(0, wid, ad.B, ad.A, 5)], "sum")
-    fresh = aggregation.apply_and_reinit(params, wid, delta, {0: ad}, seed=3)
-    after, _ = model.forward_client(params, {wid: fresh[0]}, tokens, split)
+    params.attn[wid] = model.merge_update(params.attn[wid], delta)
+    client.finish(1, 0.0, {wid: delta})
+    fresh = client.adapters[wid]
+    after, _ = model.forward_client(params, client.adapters, tokens, split)
     assert np.max(np.abs(before - after)) < 1e-12
-    assert np.array_equal(fresh[0].B, np.zeros((8, 4)))
-    assert fresh[0].r == 4
+    assert np.array_equal(fresh.B, np.zeros((8, 4)))
+    assert fresh.r == 4

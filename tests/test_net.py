@@ -363,3 +363,97 @@ def test_serve_ends_with_a_named_error_when_a_peer_misbehaves(fault, error):
     if error is net.ProtocolError:
         assert "client 0" in str(outcome["server"])
     assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")
+
+
+@pytest.mark.parametrize("bad", [None, "agg-update-nan", "agg-update-unknown-block", "cut-grad-shape",
+                                 "plan-server-side", "plan-rank", "plan-split"])
+def test_run_client_rejects_server_frames_that_do_not_fit_the_round(bad, monkeypatch):
+    """A scripted server plays round 1 (which does not aggregate) to a real
+    client 0, sends one AGG_UPDATE anyway, then shuts the session down; the
+    case ``bad`` spoils one frame. The client must end with ``ProtocolError``
+    before any non-finite value reaches its copy of the base weights."""
+    cfg = SHORT
+    rows, d = cfg.batch * cfg.model.seq_len, cfg.model.d_model
+    j = cfg.model.n_blocks if bad == "plan-split" else 1
+    ranks = ((WeightId(0, "Q"), 3 if bad == "plan-rank" else 4),)
+    if bad == "plan-server-side":
+        ranks += ((WeightId(j, "Q"), 4),)
+    update = np.full((d, d), 1e-3)
+    if bad == "agg-update-nan":
+        update[0, 0] = np.nan
+    script = [  # (frame to read first, or None; frames to send after it)
+        (wire.BARRIER, [wire.WireMessage(wire.PLAN, client_id=0, split_j=j, seed=1, ranks=ranks)]),
+        (wire.ACTIVATIONS, [wire.WireMessage(wire.CUT_GRAD, client_id=0, matrices=(
+            np.full((rows, d // 2 if bad == "cut-grad-shape" else d), 1e-3),))]),
+        (wire.BARRIER, [
+            wire.WireMessage(wire.AGG_UPDATE, weight_id=WeightId(cfg.model.n_blocks if bad == "agg-update-unknown-block"
+                                                                 else 0, "K"), matrices=(update,)),
+            wire.WireMessage(wire.BARRIER, round=1, client_id=0, loss=1.0),
+            wire.WireMessage(wire.BARRIER, round=net.SHUTDOWN_ROUND, client_id=0),
+        ]),
+    ]
+    built = []
+    build_model = model.build_model
+    monkeypatch.setattr(model, "build_model", lambda *a: built.append(build_model(*a)) or built[-1])
+    with socket.create_server((HOST, 0)) as srv:
+        port = srv.getsockname()[1]
+
+        def server():
+            with srv.accept()[0] as conn:
+                conn.settimeout(10)
+                try:
+                    for tag, replies in script:
+                        assert wire.decode_message(wire.read_frame(conn)).tag == tag
+                        for msg in replies:
+                            conn.sendall(wire.encode_message(msg))
+                except (OSError, wire.WireError):
+                    pass  # the client hung up on a frame it rejected
+
+        th = threading.Thread(target=server, daemon=True)
+        th.start()
+        if bad is None:
+            assert net.run_client(cfg, 0, HOST, port) == 1
+        else:
+            with pytest.raises(net.ProtocolError):
+                net.run_client(cfg, 0, HOST, port)
+        th.join(timeout=10)
+        assert not th.is_alive()
+    for W in built[0].attn.values():
+        assert np.isfinite(W).all()
+
+
+def test_a_silent_peer_ends_the_session_within_the_peer_timeout(monkeypatch):
+    """A raw-socket client 0 sends its hello, reads its PLAN and then stays
+    connected and silent beside a real client 1: ``serve`` ends with a
+    ``ProtocolError`` naming client 0, and client 1 ends too."""
+    monkeypatch.setattr(net, "PEER_TIMEOUT_S", 0.5)
+    cfg = SHORT
+    port = _free_port()
+    outcome = {}
+
+    def server():
+        try:
+            net.serve(cfg, HOST, port)
+        except Exception as e:
+            outcome["server"] = e
+
+    def client():
+        try:
+            net.run_client(cfg, 1, HOST, port)
+        except Exception as e:
+            outcome["client"] = e
+
+    threads = [threading.Thread(target=server, name="server", daemon=True),
+               threading.Thread(target=client, name="client-1", daemon=True)]
+    threads[0].start()
+    with _connect(port, time.perf_counter() + 10.0) as sock:
+        sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=0)))
+        threads[1].start()
+        plan = wire.decode_message(wire.read_frame(sock))
+        assert (plan.tag, plan.client_id) == (wire.PLAN, 0)
+        for th in threads:  # client 0 stays connected throughout
+            th.join(timeout=10)
+            assert not th.is_alive(), f"{th.name} still running beside a silent peer"
+    assert isinstance(outcome.get("server"), net.ProtocolError), outcome.get("server")
+    assert "client 0" in str(outcome["server"])
+    assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")

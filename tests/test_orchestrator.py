@@ -377,3 +377,24 @@ def test_finish_without_a_merge_derives_no_seed(monkeypatch):
 
     monkeypatch.setattr(orchestrator, "derive_seed", failing)
     client.finish(1, 0.0, {})
+
+
+def test_finish_reinits_exactly_the_merged_weights_it_holds():
+    client = init_state(SMALL).clients[1]
+    held = {wid: lora.new_adapter(wid, r, 32, 32, seed=r) for wid, r in
+            ((WeightId(0, "Q"), 2), (WeightId(0, "K"), 4), (WeightId(1, "V"), 8))}
+    for ad in held.values():
+        ad.B = ad.B + 1.0
+    client.adapters = dict(held)
+    merged = {wid: np.ones((32, 32)) for wid in (WeightId(0, "Q"), WeightId(1, "V"), WeightId(1, "O"))}
+    client.finish(3, 0.0, merged)
+
+    assert sorted(client.adapters, key=WeightId.sort_key) == sorted(held, key=WeightId.sort_key)
+    assert client.adapters[WeightId(0, "K")] is held[WeightId(0, "K")]  # not merged: untouched
+    agg_seed = derive_seed(SMALL.seed, "agg", 3)
+    for wid in (WeightId(0, "Q"), WeightId(1, "V")):
+        fresh, old = client.adapters[wid], held[wid]
+        assert fresh is not old and fresh.r == old.r
+        assert np.array_equal(fresh.B, np.zeros_like(old.B))
+        want = lora.reinit(old, derive_seed(agg_seed, "reinit", 1, wid.block, wid.kind))
+        assert np.array_equal(fresh.A, want.A)
