@@ -14,6 +14,9 @@ more than the parent's quartile spread (Q3 - Q1). Every other metric gets the
 bound check: its median may be worse than the parent's by at most the
 metric's relative bound. Runs that print ``correct: false`` or fail rounds
 are listed, and so are pairs whose ``splitbench/out/<workload>.csv`` differ.
+A run that exits nonzero makes its pair a failed pair: the tail of its
+stderr is printed, the comparison goes on without that pair, and the
+verdict fails.
 
 Usage:
     python3 scripts/ab_pairs.py --parent ../parent-checkout --pairs 10 --seconds 45 \\
@@ -32,10 +35,13 @@ GAIN_WINS = 0.9  # share of pairs the claimed metric must win
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The run's JSON result, or ``{"error": <the tail of its stderr>}`` if it exits nonzero."""
     cmd = [sys.executable, "splitbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        return {"error": "\n".join(proc.stderr.strip().splitlines()[-5:]) or f"exit status {proc.returncode}"}
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -44,6 +50,9 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 
 def report(workload: str, runs: list[tuple[dict, dict]], metrics: list[dict], claims: set[str]) -> bool:
+    if len(runs) < 2:
+        print(f"\n{workload}: {len(runs)} complete pairs, too few to compare")
+        return False
     ok = True
     for side, res in (("parent", [p for p, _ in runs]), ("tree", [t for _, t in runs])):
         bad = [i for i, r in enumerate(res) if not r["correct"] or r["failed"]]
@@ -89,7 +98,7 @@ def main() -> int:
     bench = json.loads((TREE / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     results = {w: [] for w in workloads}
-    csv_diffs = []
+    csv_diffs, failed = [], []
     for i in range(args.pairs):
         seed = args.seed + i
         for w in workloads:
@@ -97,6 +106,16 @@ def main() -> int:
             if i % 2:
                 sides.reverse()
             res = {name: run_once(tree, w, seed, args.seconds) for name, tree in sides}
+            if args.save:
+                with args.save.open("a") as f:
+                    for name, r in res.items():
+                        f.write(json.dumps({"workload": w, "seed": seed, "side": name, **r}) + "\n")
+            errors = {name: r["error"] for name, r in res.items() if "error" in r}
+            if errors:
+                failed.append(f"{w} seed {seed}")
+                for name, tail in errors.items():
+                    print(f"pair {i + 1}/{args.pairs} {w} seed {seed}: {name} run FAILED:\n{tail}", flush=True)
+                continue
             results[w].append((res["parent"], res["tree"]))
             round_ms = {name: r["metrics"]["round_ms"]["value"] for name, r in res.items()}
             same = len({(tree / "splitbench" / "out" / f"{w}.csv").read_bytes() for _, tree in sides}) == 1
@@ -104,13 +123,11 @@ def main() -> int:
                 csv_diffs.append(f"{w} seed {seed}")
             print(f"pair {i + 1}/{args.pairs} {w} seed {seed}: round_ms parent {round_ms['parent']:.4g} "
                   f"tree {round_ms['tree']:.4g}, csv {'identical' if same else 'DIFFERS'}", flush=True)
-            if args.save:
-                with args.save.open("a") as f:
-                    for name, r in res.items():
-                        f.write(json.dumps({"workload": w, "seed": seed, "side": name, **r}) + "\n")
-    ok = not csv_diffs
+    ok = not csv_diffs and not failed
     if csv_diffs:
         print("CSV differs from the parent's:", ", ".join(csv_diffs))
+    if failed:
+        print("Pairs with a failed run:", ", ".join(failed))
     for w in workloads:
         claims = {c.split(":", 1)[1] for c in args.claim if c.split(":", 1)[0] == w}
         ok &= report(w, results[w], bench["end_to_end"], claims)

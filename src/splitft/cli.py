@@ -25,7 +25,7 @@ from .importance import ImportanceTable
 from .linalg import derive_seed
 from .metrics import emit_csv, ranks_string
 from .planner import RankSet
-from .weights import SplitPoint, WeightId
+from .weights import SplitPoint, WeightId, all_weight_ids
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -68,15 +68,25 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_importance(text: str) -> dict[WeightId, float]:
+def _parse_budgets(text: str) -> dict[int, float]:
+    try:
+        return {i: float(b) for i, b in enumerate(text.split(","))}
+    except ValueError as e:
+        raise ValueError(f"--client-budgets: {e}") from None
+
+
+def _parse_importance(text: str, n_blocks: int) -> dict[WeightId, float]:
+    """``b<block>.<kind>=<value>`` entries separated by ";", each naming a
+    weight of an ``n_blocks``-block model."""
+    weights = {str(wid): wid for wid in all_weight_ids(n_blocks)}
     out: dict[WeightId, float] = {}
     for entry in filter(None, (e.strip() for e in text.split(";"))):
         name, _, val = entry.partition("=")
-        block_kind = name.strip()
-        if not block_kind.startswith("b") or "." not in block_kind:
-            raise ValueError(f"expected b<block>.<kind>=<value>, got {entry!r}")
-        block_s, _, kind = block_kind[1:].partition(".")
-        out[WeightId(int(block_s), kind)] = float(val)
+        try:
+            out[weights[name.strip()]] = float(val)
+        except (KeyError, ValueError):
+            raise ValueError(f"--importance: expected b<block>.<kind>=<value> for a weight of the "
+                             f"{n_blocks}-block model, got {entry!r}") from None
     return out
 
 
@@ -84,23 +94,25 @@ def cmd_plan(args) -> int:
     config = _load_config(args)
     cm = config.cost_model()
     rank_set = RankSet(config.rank_set)
-
-    if args.client_budgets:
-        budgets = {i: float(b) for i, b in enumerate(args.client_budgets.split(","))}
-    else:
-        budgets = {
-            cid: orchestrator.budget_trace(config.client_budget, cid, 1, config.seed)
-            for cid in range(config.n_clients)
-        }
+    table = ImportanceTable.for_model(config.model.n_blocks, config.total_rounds)
+    try:
+        if args.client_budgets:
+            budgets = _parse_budgets(args.client_budgets)
+        else:
+            budgets = {
+                cid: orchestrator.budget_trace(config.client_budget, cid, 1, config.seed)
+                for cid in range(config.n_clients)
+            }
+        if args.importance:
+            table.update_round(_parse_importance(args.importance, config.model.n_blocks), 1)
+    except ValueError as e:
+        print(f"plan: {e}", file=sys.stderr)
+        return 2
     server_budget = (
         float(args.server_budget)
         if args.server_budget is not None
         else orchestrator.budget_trace(config.server_budget, None, 1, config.seed)
     )
-
-    table = ImportanceTable.for_model(config.model.n_blocks, config.total_rounds)
-    if args.importance:
-        table.update_round(_parse_importance(args.importance), 1)
 
     plan = planner.select_split(
         config.model.split_points(), budgets, server_budget, table, rank_set, cm

@@ -28,7 +28,7 @@ class BudgetSpec:
     value: float = 0.0  # fixed
     lo: float = 0.0  # uniform
     hi: float = 0.0
-    table: dict[int, float] = field(default_factory=dict)  # scripted, round -> budget
+    table: dict[int, float] = field(default_factory=dict)  # scripted, round -> budget, for every round
 
     def validate(self) -> "BudgetSpec":
         if self.kind == "fixed":
@@ -94,6 +94,10 @@ class ExperimentConfig:
                 spec.validate()
             except ValueError as e:
                 errs.append(f"{name}: {e}")
+            if spec.kind == "scripted":
+                missing = [t for t in range(1, self.total_rounds + 1) if t not in spec.table]
+                if missing:
+                    errs.append(f"{name}: scripted budget table has no entry for rounds {missing}")
         if errs:
             raise ConfigError(errs)
         return self

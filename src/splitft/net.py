@@ -13,7 +13,8 @@ Per round t, per client:
   client -> ACTIVATIONS (cut activations for its next batch as batch*seq
                          rows; ``n_samples`` is the batch)
   server -> CUT_GRAD    (gradient at the cut)
-  client -> BARRIER     (client-side importance numerators as one matrix)
+  client -> BARRIER     (importance numerators as one (n_weights, 1) column
+                         in ``all_weight_ids`` order, 0.0 off the client side)
   client -> ADAPTER_UPLOAD x n   (aggregation rounds only, t % K == 0)
 then, after every client has finished the round:
   server -> AGG_UPDATE x m + BARRIER   (aggregation rounds)
@@ -27,11 +28,15 @@ two copies of the base weights bit-identical.
 ``serve`` runs the one session loop, ``orchestrator.run_session``, with a
 ``RemoteClient`` end per socket, whose calls are the exchanges above, and
 float32 rounding as its delta hook; ``run_client`` drives the in-process
-``ClientSim`` from the frames it receives. A bad hello, a frame that does
-not fit the round (wrong tag, client id or shape, non-finite entries; on the
-client, a split out of range, a PLAN entry off the client side or off the
-rank set, an AGG_UPDATE for a weight the model lacks) or a peer silent for
-``PEER_TIMEOUT_S`` ends the session with ``ProtocolError``.
+``ClientSim`` from the frames it receives. Every frame is read through
+``_recv``, which checks its layout: finite entries and, where the exchange
+fixes them, the tag, the matrix shapes and the header fields. A bad hello,
+a frame that does not fit the round (that layout; on the client, a split
+out of range, a PLAN entry off the client side or off the rank set, an
+AGG_UPDATE for a weight the model lacks), a peer silent for
+``PEER_TIMEOUT_S`` or a client that does not connect within it (the
+listening socket has the same timeout) ends the session with
+``ProtocolError``.
 
 Both ends set TCP_NODELAY: the server writes small frames back to back,
 and under Nagle's algorithm the second would wait for the peer's delayed ACK.
@@ -74,17 +79,21 @@ def _tune(sock: socket.socket) -> None:
     sock.settimeout(PEER_TIMEOUT_S)
 
 
-def _recv(sock: socket.socket, peer: str, tag: int | None = None, client_id: int | None = None) -> wire.WireMessage:
+def _recv(sock: socket.socket, peer: str, tag: int | None = None, shapes: tuple | list = (),
+          **fields) -> wire.WireMessage:
     """The next frame from ``peer``, with only finite matrix entries; with
-    ``tag``, it must carry that tag and ``client_id``."""
+    ``tag``, it must carry that tag, matrices of exactly ``shapes`` and the
+    header ``fields`` (``client_id=...``, ``round=...``) with those values."""
     try:
         msg = wire.decode_message(wire.read_frame(sock))
     except TimeoutError:
         raise ProtocolError(f"{peer}: no frame within {PEER_TIMEOUT_S} s") from None
     if not all(np.isfinite(m).all() for m in msg.matrices):
         raise ProtocolError(f"{peer}: non-finite entries in a tag-{msg.tag} frame")
-    if tag is not None and (msg.tag != tag or msg.client_id != client_id):
-        raise ProtocolError(f"{peer}: expected tag {tag} for client {client_id}, got {msg.tag} for {msg.client_id}")
+    want = (tag, list(shapes), fields)
+    got = (msg.tag, [m.shape for m in msg.matrices], {f: getattr(msg, f) for f in fields})
+    if tag is not None and got != want:
+        raise ProtocolError(f"{peer}: expected (tag, shapes, fields) {want}, got {got}")
     return msg
 
 
@@ -97,38 +106,29 @@ class RemoteClient:
 
     def __init__(self, sock: socket.socket, client_id: int, config: ExperimentConfig):
         self.sock, self.client_id, self.config = sock, client_id, config
-        self.wids = all_weight_ids(config.model.n_blocks)
         self.ranks: tuple[tuple[WeightId, int], ...] = ()
 
     def forward(self, split: SplitPoint, assignment: dict[WeightId, int], t: int) -> np.ndarray:
         self.ranks = tuple((wid, assignment[wid]) for wid in sorted(assignment, key=WeightId.sort_key))
         plan = wire.WireMessage(wire.PLAN, client_id=self.client_id, split_j=split.j, seed=t, ranks=self.ranks)
         _send(self.sock, plan)
-        msg = _recv(self.sock, f"client {self.client_id}", wire.ACTIVATIONS, self.client_id)
         # Activations must have the shape of the targets the server scores them against.
         batch, seq_len, d = self.config.batch, self.config.model.seq_len, self.config.model.d_model
-        acts = msg.matrices[0]
-        if msg.n_samples != batch or acts.shape != (batch * seq_len, d):
-            raise ProtocolError(f"client {self.client_id}: ACTIVATIONS of {msg.n_samples} samples {acts.shape}, "
-                                f"expected {batch} samples ({batch * seq_len}, {d})")
+        acts = _recv(self.sock, f"client {self.client_id}", wire.ACTIVATIONS, [(batch * seq_len, d)],
+                     client_id=self.client_id, n_samples=batch).matrices[0]
         return acts.reshape(batch, seq_len, d)
 
-    def backward(self, cut_grad: np.ndarray, t: int) -> tuple[list, list[aggregation.AdapterUpload]]:
-        cid, d = self.client_id, self.config.model.d_model
+    def backward(self, cut_grad: np.ndarray, t: int) -> tuple[np.ndarray, list[aggregation.AdapterUpload]]:
+        cid, peer, mc = self.client_id, f"client {self.client_id}", self.config.model
         _send(self.sock, wire.WireMessage(wire.CUT_GRAD, client_id=cid, matrices=(cut_grad,)))
-        barrier = _recv(self.sock, f"client {cid}", wire.BARRIER, cid)
-        shapes = [m.shape for m in barrier.matrices]
-        if barrier.round != t or shapes != [(len(self.wids), 1)]:
-            raise ProtocolError(f"client {cid}: round-{barrier.round} BARRIER {shapes}, expected round {t}")
+        barrier = _recv(self.sock, peer, wire.BARRIER, [(len(all_weight_ids(mc.n_blocks)), 1)], client_id=cid, round=t)
         uploads = []
         if t % self.config.agg_period == 0:
             for wid, r in self.ranks:
-                up = _recv(self.sock, f"client {cid}", wire.ADAPTER_UPLOAD, cid)
-                if up.weight_id != wid or [m.shape for m in up.matrices] != [(d, r), (r, d)]:
-                    raise ProtocolError(f"client {cid}: upload of {up.weight_id} {[m.shape for m in up.matrices]}, "
-                                        f"the plan gives {wid} rank {r} on d_model {d}")
+                up = _recv(self.sock, peer, wire.ADAPTER_UPLOAD, [(mc.d_model, r), (r, mc.d_model)],
+                           client_id=cid, weight_id=wid)
                 uploads.append(aggregation.AdapterUpload(cid, wid, *up.matrices, up.n_samples))
-        return [(w, float(v)) for w, v in zip(self.wids, barrier.matrices[0][:, 0])], uploads
+        return barrier.matrices[0][:, 0], uploads
 
     def finish(self, t: int, loss: float, merged: dict[WeightId, np.ndarray]) -> None:
         for wid, delta in merged.items():
@@ -141,8 +141,13 @@ def serve(config: ExperimentConfig, host: str, port: int) -> tuple[list[RoundRep
     state = init_state(config)
     ends: dict[int, RemoteClient] = {}
     with socket.create_server((host, port)) as srv, contextlib.ExitStack() as conns:
+        srv.settimeout(PEER_TIMEOUT_S)
         while len(ends) < config.n_clients:
-            conn = conns.enter_context(srv.accept()[0])
+            try:
+                conn = conns.enter_context(srv.accept()[0])
+            except TimeoutError:
+                missing = sorted(set(range(config.n_clients)) - ends.keys())
+                raise ProtocolError(f"clients {missing} did not connect within {PEER_TIMEOUT_S} s") from None
             _tune(conn)
             hello = _recv(conn, "a connecting peer")
             cid = hello.client_id
@@ -163,7 +168,6 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
     with socket.create_connection((host, port)) as sock:
         params = model.build_model(config.model, derive_seed(config.seed, "model"))
         sim = ClientSim(client_id, make_shard(config, client_id), params, config)
-        wids = all_weight_ids(config.model.n_blocks)
         rows, d = config.batch * config.model.seq_len, config.model.d_model
         _tune(sock)
         _send(sock, wire.WireMessage(wire.BARRIER, round=0, client_id=client_id))
@@ -182,13 +186,9 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
             acts = sim.forward(split, dict(plan.ranks), t)
             _send(sock, wire.WireMessage(wire.ACTIVATIONS, client_id=client_id, n_samples=config.batch,
                                          matrices=(acts.reshape(-1, acts.shape[-1]),)))
-            cut_grad = _recv(sock, "server", wire.CUT_GRAD, client_id).matrices[0]
-            if cut_grad.shape != (rows, d):
-                raise ProtocolError(f"client {client_id}: CUT_GRAD {cut_grad.shape}, expected {(rows, d)}")
+            cut_grad = _recv(sock, "server", wire.CUT_GRAD, [(rows, d)], client_id=client_id).matrices[0]
             numerators, uploads = sim.backward(cut_grad, t)
-            mine = dict(numerators)
-            vec = np.array([[mine.get(w, 0.0)] for w in wids])
-            _send(sock, wire.WireMessage(wire.BARRIER, round=t, client_id=client_id, matrices=(vec,)))
+            _send(sock, wire.WireMessage(wire.BARRIER, round=t, client_id=client_id, matrices=(numerators[:, None],)))
             for up in uploads:
                 _send(sock, wire.WireMessage(wire.ADAPTER_UPLOAD, client_id=client_id, weight_id=up.weight_id,
                                              n_samples=up.n_samples, matrices=(up.B, up.A)))

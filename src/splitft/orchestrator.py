@@ -12,7 +12,9 @@ client re-initializes its merged adapters.
 ``run_round`` is the only round engine. It drives a list of client ends,
 each with three calls: ``forward(split, assignment, t) -> acts``,
 ``backward(cut_grad, t) -> (numerators, uploads)`` and ``finish(t, loss,
-merged)``. ``ClientSim`` is the in-process end and the default; ``net``
+merged)``. ``numerators`` is the end's importance numerators as one float64
+vector in ``all_weight_ids`` order, 0.0 for the weights it holds no
+gradient for. ``ClientSim`` is the in-process end and the default; ``net``
 plugs in a socket end with the same calls, whose remote peer drives its own
 ``ClientSim`` from the frames it receives. Both sides cut round t's batch
 with ``client_batch`` from the shard they hold.
@@ -128,9 +130,9 @@ class ClientSim:
         )
         return acts
 
-    def backward(self, cut_grad: np.ndarray, t: int) -> tuple[Numerators, list[aggregation.AdapterUpload]]:
+    def backward(self, cut_grad: np.ndarray, t: int) -> tuple[np.ndarray, list[aggregation.AdapterUpload]]:
         """The client's backward and SGD step; returns its importance
-        numerators and, on aggregation rounds, one upload per adapter."""
+        numerator vector and, on aggregation rounds, one upload per adapter."""
         cfg = self.config
         ad_grads, base_grads = model.backward_client(cut_grad, self.cache, self.adapters)
         self.cache = None
@@ -289,14 +291,17 @@ def _check_budgets(state: ExperimentState, plan: RoundPlan, budgets: Budgets) ->
 # d_model), groups below it; see the module docstring.
 PARALLEL_MIN_ENTRIES = 8192
 
-Numerators = list[tuple[WeightId, float]]
-ClientResult = tuple[float, AdapterGrads, Numerators, list[aggregation.AdapterUpload]]
+ClientResult = tuple[float, AdapterGrads, np.ndarray, list[aggregation.AdapterUpload]]
 
 
-def _numerators(params: ModelParams, base_grads: BaseGrads) -> list:
-    """(weight, numerator) per base gradient; a stack of gradients gives one
-    numerator per client."""
-    return [(wid, importance.gw_numerator(params.attn[wid], g)) for wid, g in base_grads.items()]
+def _numerators(params: ModelParams, base_grads: BaseGrads, clients: tuple = ()) -> np.ndarray:
+    """The importance numerator of each base gradient at its weight's
+    position in ``all_weight_ids`` order, 0.0 for weights without one; with
+    ``clients`` = (C,), a stack of gradients gives one row per client."""
+    out = np.zeros(clients + (len(params.attn),))
+    for wid, g in base_grads.items():
+        out[..., wid.position()] = importance.gw_numerator(params.attn[wid], g)
+    return out
 
 
 def _group_step(
@@ -307,7 +312,8 @@ def _group_step(
     backward) over their activations stacked on a leading client axis, then
     every end's backward with its slice of the cut gradient (the end takes
     its own SGD step). Returns each client's (loss, server adapter grads,
-    importance numerators, uploads), in client order.
+    numerator vector: the server's row plus the end's, uploads), in client
+    order.
 
     It reads the base weights and the server adapters and writes only its
     clients' own state, so groups of different clients may run at the same
@@ -328,13 +334,13 @@ def _group_step(
     # Copy task: the targets are the tokens.
     tokens = np.stack([client_batch(state.clients[cid].shard, cfg.batch, t) for cid in cids])
     losses, s_ad_grads, base_grads, cut_grads = model.loss_and_grad_server(logits, tokens, scache, server_ads)
-    numerators = _numerators(params, base_grads)
+    numerators = _numerators(params, base_grads, (len(group),))
     del base_grads  # the server's d x d grads are not kept through the client backward
     results = []
     for c, end in enumerate(group):
         client_numerators, uploads = end.backward(cut_grads[c], t)
         results.append((float(losses[c]), {wid: (dB[c], dA[c]) for wid, (dB, dA) in s_ad_grads.items()},
-                        [(wid, v[c]) for wid, v in numerators] + client_numerators, uploads))
+                        numerators[c] + client_numerators, uploads))
     return results
 
 
@@ -399,7 +405,7 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
     # (2) forward/backward per client, SGD on adapters; results reduced in client order
     lr = config.learning_rate
     losses: dict[int, float] = {}
-    numerators: dict[WeightId, float] = {w: 0.0 for w in all_weight_ids(config.model.n_blocks)}
+    numerators = np.zeros(len(state.params.attn))
     server_grad_acc: dict[WeightId, tuple] = {}
     uploads: list[aggregation.AdapterUpload] = []
 
@@ -409,8 +415,7 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
         for wid, (dB, dA) in s_ad_grads.items():
             acc = server_grad_acc.get(wid)
             server_grad_acc[wid] = (dB, dA) if acc is None else (acc[0] + dB, acc[1] + dA)
-        for wid, v in client_numerators:
-            numerators[wid] += v
+        numerators += client_numerators
         uploads += client_uploads
 
     n = len(ends)
@@ -418,7 +423,7 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
         ad = state.server_adapters[wid]
         ad.B = ad.B - lr * (dB / n)
         ad.A = ad.A - lr * (dA / n)
-    state.last_numerators = numerators
+    state.last_numerators = dict(zip(all_weight_ids(config.model.n_blocks), numerators.tolist()))
 
     # (3) periodic fed-server aggregation of client-side adapters
     aggregated = t % config.agg_period == 0

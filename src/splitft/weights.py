@@ -24,6 +24,10 @@ class WeightId:
     def sort_key(self) -> tuple[int, int]:
         return (self.block, KIND_ORDER[self.kind])
 
+    def position(self) -> int:
+        """This weight's index in ``all_weight_ids`` order."""
+        return self.block * len(KINDS) + KIND_ORDER[self.kind]
+
     def __str__(self) -> str:
         return f"b{self.block}.{self.kind}"
 

@@ -37,6 +37,18 @@ def test_plan_prints_assignment(capsys):
     assert "b0.Q=" in out
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--importance", "b9.Q=1"], "'b9.Q=1'"),  # the default model has blocks 0 and 1
+    (["--importance", "b0.Q=1;b0.X=1"], "'b0.X=1'"),
+    (["--client-budgets", "1,x"], "'x'"),
+])
+def test_plan_names_a_bad_entry_and_exits_two(flags, named, capsys):
+    assert main(["plan", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and named in err
+
+
 def test_plan_with_starvation_budget_prints_empty_and_exits_zero(capsys):
     assert main(["plan", "--client-budgets", "1", "--server-budget", "1"]) == 0
     out = capsys.readouterr().out

@@ -61,8 +61,18 @@ def test_full_round_trip_of_keys():
 
 
 def test_scripted_budget_syntax():
-    cfg = parse_config_text("client_budget = scripted:1=100,2=250.5")
+    cfg = parse_config_text("total_rounds = 2\nclient_budget = scripted:1=100,2=250.5")
     assert cfg.client_budget.table == {1: 100.0, 2: 250.5}
+
+
+def test_a_scripted_table_must_cover_every_round():
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("total_rounds = 4\nserver_budget = scripted:1=8000,2=8000\n"
+                          "client_budget = scripted:1=9,3=9,4=9,5=9")
+    assert exc.value.errors == ["client_budget: scripted budget table has no entry for rounds [2]",
+                                "server_budget: scripted budget table has no entry for rounds [3, 4]"]
+    # Entries past the last round are allowed.
+    assert parse_config_text("total_rounds = 2\nserver_budget = scripted:1=1,2=1,3=1").total_rounds == 2
 
 
 def test_unknown_key_is_an_error():

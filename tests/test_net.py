@@ -251,12 +251,15 @@ def test_server_and_clients_hold_identical_base_weights(monkeypatch):
 
 @pytest.mark.parametrize("bad", [None, "activations-client-id", "barrier-round", "upload-rank",
                                  "activations-nan", "barrier-inf", "upload-nan",
-                                 "activations-width", "upload-width"])
+                                 "activations-width", "upload-width", "barrier-rows", "upload-weight"])
 def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
     cfg, t, cid = SHORT, 2, 1  # round 2 aggregates
     d, rows = cfg.model.d_model, cfg.batch * cfg.model.seq_len
     plan = {WeightId(0, "Q"): 4, WeightId(0, "K"): 2}
     uploaded = {**plan, WeightId(0, "K"): 4} if bad == "upload-rank" else plan
+    if bad == "upload-weight":  # b0.V in place of b0.K, at the rank the plan gives b0.K
+        uploaded = {WeightId(0, "Q"): 4, WeightId(0, "V"): 2}
+    n_weights = len(all_weight_ids(cfg.model.n_blocks)) + (bad == "barrier-rows")
 
     def matrix(shape, value, poisoned_by):
         """A frame matrix; the case ``poisoned_by`` puts a non-finite entry in it."""
@@ -270,7 +273,7 @@ def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
                          n_samples=cfg.batch,
                          matrices=(matrix((rows, d // (1 + (bad == "activations-width"))), 1.0, "activations-nan"),)),
         wire.WireMessage(wire.BARRIER, round=t + (bad == "barrier-round"), client_id=cid,
-                         matrices=(matrix((len(all_weight_ids(cfg.model.n_blocks)), 1), 0.0, "barrier-inf"),)),
+                         matrices=(matrix((n_weights, 1), 0.0, "barrier-inf"),)),
         *(wire.WireMessage(wire.ADAPTER_UPLOAD, client_id=cid, weight_id=wid, n_samples=cfg.shard_size,
                            matrices=(np.ones((d // (1 + (bad == "upload-width")), r)), matrix((r, d), 1.0, "upload-nan")))
           for wid, r in sorted(uploaded.items(), key=lambda item: WeightId.sort_key(item[0]))),
@@ -286,8 +289,9 @@ def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
             return end.backward(np.ones((rows, d)), t)
 
         if bad is None:
-            _, uploads = round_trip()
+            numerators, uploads = round_trip()
             assert [(u.weight_id, u.rank) for u in uploads] == list(end.ranks)
+            assert np.array_equal(numerators, np.zeros(n_weights))
         else:
             with pytest.raises(net.ProtocolError):
                 round_trip()
@@ -456,4 +460,44 @@ def test_a_silent_peer_ends_the_session_within_the_peer_timeout(monkeypatch):
             assert not th.is_alive(), f"{th.name} still running beside a silent peer"
     assert isinstance(outcome.get("server"), net.ProtocolError), outcome.get("server")
     assert "client 0" in str(outcome["server"])
+    assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")
+
+
+def test_serve_names_the_clients_that_never_connect(monkeypatch):
+    """Only client 0 of two connects: ``serve`` ends within the peer timeout
+    with a ``ProtocolError`` naming client 1, and client 0 ends too."""
+    monkeypatch.setattr(net, "PEER_TIMEOUT_S", 0.5)
+    cfg = SHORT
+    port = _free_port()
+    outcome = {}
+
+    def server():
+        try:
+            net.serve(cfg, HOST, port)
+        except Exception as e:
+            outcome["server"] = e
+
+    def client():
+        deadline = time.perf_counter() + 10.0
+        while True:
+            try:
+                net.run_client(cfg, 0, HOST, port)
+                return
+            except ConnectionRefusedError:
+                if time.perf_counter() > deadline:
+                    return
+                time.sleep(0.001)
+            except Exception as e:
+                outcome["client"] = e
+                return
+
+    threads = [threading.Thread(target=server, name="server", daemon=True),
+               threading.Thread(target=client, name="client-0", daemon=True)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=10)
+        assert not th.is_alive(), f"{th.name} still running while client 1 never connects"
+    assert isinstance(outcome.get("server"), net.ProtocolError), outcome.get("server")
+    assert "clients [1] did not connect" in str(outcome["server"])
     assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")

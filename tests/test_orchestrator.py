@@ -7,12 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from splitft import lora, metrics, model, orchestrator, planner
+from splitft import importance, lora, metrics, model, orchestrator, planner
 from splitft.config import BudgetSpec, ExperimentConfig
 from splitft.linalg import derive_seed
 from splitft.model import ModelConfig
 from splitft.orchestrator import budget_trace, init_state, make_shard, run_experiment, run_round
-from splitft.weights import WeightId
+from splitft.weights import SplitPoint, WeightId, all_weight_ids
 
 SMALL = replace(
     ExperimentConfig(),
@@ -51,6 +51,31 @@ def test_budget_trace_scripted():
     assert budget_trace(spec, 0, 2, seed=0) == 20.0
     with pytest.raises(KeyError):
         budget_trace(spec, 0, 3, seed=0)
+
+
+def test_client_backward_returns_numerators_in_all_weight_ids_order(monkeypatch):
+    state = init_state(SMALL)
+    end, split, mc = state.clients[0], SplitPoint(1), SMALL.model
+    backward_client, base = model.backward_client, {}
+
+    def recording(*args):
+        ad_grads, base_grads = backward_client(*args)
+        base.update(base_grads)
+        return ad_grads, base_grads
+
+    monkeypatch.setattr(model, "backward_client", recording)
+    end.forward(split, {WeightId(0, "Q"): 4, WeightId(0, "V"): 2}, 1)
+    cut_grad = np.random.default_rng(0).standard_normal((SMALL.batch * mc.seq_len, mc.d_model))
+    numerators, uploads = end.backward(cut_grad, 1)
+    wids = all_weight_ids(mc.n_blocks)
+    assert isinstance(numerators, np.ndarray) and numerators.shape == (len(wids),)
+    assert set(base) == {wid for wid in wids if split.client_side(wid)}
+    for i, wid in enumerate(wids):
+        if split.client_side(wid):
+            assert numerators[i] == importance.gw_numerator(state.params.attn[wid], base[wid]) > 0
+        else:
+            assert numerators[i] == 0.0
+    assert uploads == []  # round 1 does not aggregate
 
 
 def test_client_batches_cycle_through_the_shard():
