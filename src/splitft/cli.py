@@ -7,25 +7,33 @@ Subcommands:
   grad-check finite-difference validation of all hand-derived gradients
 
 Every subcommand is non-interactive and returns a nonzero exit status when
-any check fails.
+any check fails. Bad input (an unreadable or invalid config file, a bad flag
+value, a missing address, a client id outside the config) ends the command
+with one ``<command>: <message>`` on stderr and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import aggregation, lora, model, net, orchestrator, planner
 from .aggregation import AdapterUpload, RankMismatchError
-from .config import ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .importance import ImportanceTable
 from .linalg import derive_seed
 from .metrics import emit_csv, ranks_string
 from .planner import RankSet
 from .weights import SplitPoint, WeightId, all_weight_ids
+
+
+class UsageError(ValueError):
+    """Bad command-line input; ``main`` prints it and exits 2."""
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -36,12 +44,11 @@ def _parse_address(text: str) -> tuple[str, int]:
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = parse_config(args.config) if args.config else ExperimentConfig().validate()
-    if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-
-        config = replace(config, seed=args.seed)
-    return config
+    try:
+        config = parse_config(args.config) if args.config else ExperimentConfig().validate()
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"--config: {e}") from None
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def cmd_run(args) -> int:
@@ -50,16 +57,15 @@ def cmd_run(args) -> int:
         reports, summary = orchestrator.run_experiment(config)
     elif args.mode == "net-server":
         if args.listen is None:
-            print("run --mode net-server requires --listen host:port", file=sys.stderr)
-            return 2
-        host, port = args.listen
-        reports, summary = net.serve(config, host, port)
+            raise UsageError("--mode net-server requires --listen host:port")
+        reports, summary = net.serve(config, *args.listen)
     else:  # net-client
         if args.connect is None or args.client_id is None:
-            print("run --mode net-client requires --connect host:port and --client-id", file=sys.stderr)
-            return 2
-        host, port = args.connect
-        rounds = net.run_client(config, args.client_id, host, port)
+            raise UsageError("--mode net-client requires --connect host:port and --client-id")
+        if not 0 <= args.client_id < config.n_clients:
+            raise UsageError(f"--client-id must be in [0, {config.n_clients - 1}] for n_clients = "
+                             f"{config.n_clients}, got {args.client_id}")
+        rounds = net.run_client(config, args.client_id, *args.connect)
         print(f"client {args.client_id} finished after {rounds} rounds")
         return 0
     emit_csv(reports, args.out)
@@ -68,54 +74,46 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _parse_budgets(text: str) -> dict[int, float]:
+def _parse_budget(flag: str, text: str) -> float:
     try:
-        return {i: float(b) for i, b in enumerate(text.split(","))}
-    except ValueError as e:
-        raise ValueError(f"--client-budgets: {e}") from None
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise UsageError(f"{flag}: expected a finite budget above 0, got {text!r}")
+    return value
 
 
 def _parse_importance(text: str, n_blocks: int) -> dict[WeightId, float]:
     """``b<block>.<kind>=<value>`` entries separated by ";", each naming a
-    weight of an ``n_blocks``-block model."""
+    weight of an ``n_blocks``-block model and a finite value >= 0."""
     weights = {str(wid): wid for wid in all_weight_ids(n_blocks)}
     out: dict[WeightId, float] = {}
     for entry in filter(None, (e.strip() for e in text.split(";"))):
         name, _, val = entry.partition("=")
         try:
-            out[weights[name.strip()]] = float(val)
+            out[weights[name.strip()]] = value = float(val)
         except (KeyError, ValueError):
-            raise ValueError(f"--importance: expected b<block>.<kind>=<value> for a weight of the "
-                             f"{n_blocks}-block model, got {entry!r}") from None
+            value = math.nan
+        if not 0 <= value < math.inf:
+            raise UsageError(f"--importance: expected b<block>.<kind>=<value >= 0> for a weight of the "
+                             f"{n_blocks}-block model, got {entry!r}")
     return out
 
 
 def cmd_plan(args) -> int:
     config = _load_config(args)
-    cm = config.cost_model()
-    rank_set = RankSet(config.rank_set)
+    budgets, server_budget = orchestrator.round_budgets(config, 1)
+    if args.client_budgets:
+        budgets = {i: _parse_budget("--client-budgets", b) for i, b in enumerate(args.client_budgets.split(","))}
+    if args.server_budget is not None:
+        server_budget = _parse_budget("--server-budget", args.server_budget)
     table = ImportanceTable.for_model(config.model.n_blocks, config.total_rounds)
-    try:
-        if args.client_budgets:
-            budgets = _parse_budgets(args.client_budgets)
-        else:
-            budgets = {
-                cid: orchestrator.budget_trace(config.client_budget, cid, 1, config.seed)
-                for cid in range(config.n_clients)
-            }
-        if args.importance:
-            table.update_round(_parse_importance(args.importance, config.model.n_blocks), 1)
-    except ValueError as e:
-        print(f"plan: {e}", file=sys.stderr)
-        return 2
-    server_budget = (
-        float(args.server_budget)
-        if args.server_budget is not None
-        else orchestrator.budget_trace(config.server_budget, None, 1, config.seed)
-    )
+    if args.importance:
+        table.update_round(_parse_importance(args.importance, config.model.n_blocks), 1)
 
     plan = planner.select_split(
-        config.model.split_points(), budgets, server_budget, table, rank_set, cm
+        config.model.split_points(), budgets, server_budget, table, RankSet(config.rank_set), config.cost_model()
     )
     print(f"split_j = {plan.split.j}")
     print(f"I_g = {plan.global_importance:.17g}")
@@ -274,10 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="splitft", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--config", help="path to a key = value config file")
+    inputs.add_argument("--seed", type=int, help="override the config seed")
 
-    run = sub.add_parser("run", help="run a full experiment and emit the metrics CSV")
-    run.add_argument("--config", help="path to a key = value config file")
-    run.add_argument("--seed", type=int, help="override the config seed")
+    run = sub.add_parser("run", parents=[inputs], help="run a full experiment and emit the metrics CSV")
     run.add_argument("--out", default="metrics.csv", help="metrics CSV path")
     run.add_argument("--mode", choices=("sim", "net-server", "net-client"), default="sim")
     run.add_argument("--listen", type=_parse_address, help="host:port to serve on (net-server)")
@@ -285,11 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--client-id", type=int, help="this client's id (net-client)")
     run.set_defaults(func=cmd_run)
 
-    plan = sub.add_parser("plan", help="print the split/rank plan for given budgets")
-    plan.add_argument("--config", help="path to a key = value config file")
-    plan.add_argument("--seed", type=int, help="override the config seed")
+    plan = sub.add_parser("plan", parents=[inputs], help="print the split/rank plan for given budgets")
     plan.add_argument("--client-budgets", help="comma-separated per-client budgets")
-    plan.add_argument("--server-budget", type=float)
+    plan.add_argument("--server-budget")
     plan.add_argument("--importance", help='importance numerators, e.g. "b0.Q=2.5;b1.V=1.0"')
     plan.set_defaults(func=cmd_plan)
 
@@ -308,7 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, ConfigError) as e:
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ Unknown keys and invalid values are all collected and reported together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import get_type_hints
 
@@ -42,6 +43,8 @@ class BudgetSpec:
                 raise ValueError("scripted budget table must be nonempty with positive values")
         else:
             raise ValueError(f"unknown budget kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.value, self.lo, self.hi, *self.table.values()))):
+            raise ValueError(f"{self.kind} budget values must be finite")
         return self
 
 
@@ -78,7 +81,9 @@ class ExperimentConfig:
                 errs.append(f"{name} must be >= 1, got {val}")
         for name, val in (("learning_rate", self.learning_rate), ("kappa_opt", self.kappa_opt),
                           ("beta_act", self.beta_act), ("tau0", self.tau0), ("epsilon", self.epsilon)):
-            if val <= 0:
+            if not math.isfinite(val):
+                errs.append(f"{name} must be finite, got {val}")
+            elif val <= 0:
                 errs.append(f"{name} must be positive, got {val}")
         if self.agg_mode not in AGG_MODES:
             errs.append(f"agg_mode must be sum|weighted, got {self.agg_mode!r}")

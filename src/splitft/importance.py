@@ -25,7 +25,8 @@ def gw_numerator(weights: Matrix, grads: np.ndarray) -> float | list[float]:
     g = np.asarray(grads, dtype=np.float64)
     if w.shape != g.shape[-2:] or g.ndim not in (2, 3):
         raise ShapeError("weight/grad shape mismatch", w.shape, g.shape)
-    return np.abs(w * g).sum(axis=(-2, -1)).tolist()
+    prod = w * g
+    return np.abs(prod, out=prod).sum(axis=(-2, -1)).tolist()
 
 
 def balance(current: float, hist: float, t: int, T: int) -> float:

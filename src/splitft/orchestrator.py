@@ -27,6 +27,13 @@ The server keeps one shared adapter set: gradients are accumulated across
 client batches within the round and applied as a single averaged step.
 Base weights change only through the aggregation merge.
 
+The validated ``ExperimentConfig`` is the one source of a round's inputs:
+``round_budgets`` draws every side's budget for round t from it (``cli
+plan`` draws round 1 the same way), and ``plan_round`` reads the split
+candidates, rank set and cost model from it each round. ``budget_trace``
+trusts a spec that ``ExperimentConfig.validate`` has checked.
+``ExperimentState`` holds only what one round leaves to the next.
+
 Clients are independent within step (2): each one's work reads the base
 weights and the server adapters and writes only that client's adapters.
 How step (2) is scheduled depends on the size of a client's activations,
@@ -90,13 +97,11 @@ def _uniform_budget(seed: int, tag: int, lo: float, hi: float) -> float:
 
 
 def budget_trace(spec: BudgetSpec, client_id: int | None, t: int, seed: int) -> float:
-    spec.validate()
+    # A validated spec: a scripted table covers every round of the run.
     if spec.kind == "fixed":
         return spec.value
     if spec.kind == "uniform":
         return _uniform_budget(seed, -1 if client_id is None else client_id, spec.lo, spec.hi)
-    if t not in spec.table:
-        raise KeyError(f"scripted budget table has no entry for round {t}")
     return spec.table[t]
 
 
@@ -187,17 +192,19 @@ class RoundReport:
 
 @dataclass
 class ExperimentState:
+    # Only what carries from one round to the next. The planner's inputs
+    # (split candidates, rank set, costs, budgets) are read from the
+    # validated ``config`` each round, and the re-plan count from the reports.
     config: ExperimentConfig
     params: ModelParams
     clients: list[ClientSim]
     table: ImportanceTable
-    split_set: list[SplitPoint]
-    rank_set: RankSet
     server_adapters: AdapterSet = field(default_factory=dict)
     plan: RoundPlan | None = None
     tau: float = 0.0
+    # Round t's numerators enter ``table`` at the start of round t+1, so the
+    # table after a round holds what that round planned with.
     last_numerators: dict[WeightId, float] = field(default_factory=dict)
-    replan_count: int = 0
     budget_violations: int = 0
     # The last reported (client, server) rank mappings, reused while unchanged.
     report_ranks: tuple[dict, dict] = field(default_factory=lambda: ({}, {}))
@@ -207,14 +214,11 @@ def init_state(config: ExperimentConfig) -> ExperimentState:
     config.validate()
     params = model.build_model(config.model, derive_seed(config.seed, "model"))
     clients = [ClientSim(cid, make_shard(config, cid), params, config) for cid in range(config.n_clients)]
-    table = ImportanceTable.for_model(config.model.n_blocks, config.total_rounds)
     return ExperimentState(
         config=config,
         params=params,
         clients=clients,
-        table=table,
-        split_set=config.model.split_points(),
-        rank_set=RankSet(config.rank_set),
+        table=ImportanceTable.for_model(config.model.n_blocks, config.total_rounds),
         tau=config.tau0,
     )
 
@@ -238,7 +242,7 @@ def _reconcile_adapters(
 Budgets = tuple[dict[int, float], float]  # (client budgets by id, server budget)
 
 
-def _round_budgets(config: ExperimentConfig, t: int) -> Budgets:
+def round_budgets(config: ExperimentConfig, t: int) -> Budgets:
     cb = {cid: budget_trace(config.client_budget, cid, t, config.seed) for cid in range(config.n_clients)}
     sb = budget_trace(config.server_budget, None, t, config.seed)
     return cb, sb
@@ -250,14 +254,13 @@ def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundP
     Every candidate split is planned once; delta_I, the rank-only re-fit and
     a re-selection all read those plans."""
     config = state.config
-    cm = config.cost_model()
-    client_budgets, server_budget = budgets
+    cm, rank_set = config.cost_model(), RankSet(config.rank_set)
 
     if t > 1 and state.last_numerators:
         state.table.update_round(state.last_numerators, t)
     plans = {
-        s: planner.plan_for_split(s, client_budgets, server_budget, state.table, state.rank_set, cm)
-        for s in state.split_set
+        s: planner.plan_for_split(s, *budgets, state.table, rank_set, cm)
+        for s in config.model.split_points()
     }
     if state.plan is None:
         return planner.best_plan(plans.values()), 0.0, "initial"
@@ -392,10 +395,8 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
     ends = state.clients if clients is None else clients
 
     # (1) importance refresh + planning
-    budgets = _round_budgets(config, t)
+    budgets = round_budgets(config, t)
     plan, delta_I, reason = plan_round(state, t, budgets)
-    if reason:
-        state.replan_count += 1
     state.plan = plan
     _check_budgets(state, plan, budgets)
     state.server_adapters = _reconcile_adapters(
@@ -472,7 +473,7 @@ def run_session(state: ExperimentState, clients: list | None = None,
         "initial_mean_ppl": float(np.mean(list(first.values()))),
         "final_mean_ppl": float(np.mean(list(last.values()))),
         "final_ppl_per_client": {cid: last[cid] for cid in sorted(last)},
-        "replan_count": state.replan_count,
+        "replan_count": sum(rep.replanned for rep in reports),
         "budget_violations": state.budget_violations,
     }
 

@@ -49,6 +49,39 @@ def test_plan_names_a_bad_entry_and_exits_two(flags, named, capsys):
     assert len(err.splitlines()) == 1 and named in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--server-budget", "nan"], "--server-budget"),
+    (["--client-budgets", "2000,inf"], "'inf'"),
+    (["--client-budgets", "2000,0"], "'0'"),
+    (["--importance", "b0.Q=-1"], "'b0.Q=-1'"),
+    (["--importance", "b0.Q=nan"], "'b0.Q=nan'"),
+])
+def test_plan_rejects_values_a_config_would_reject(flags, named, capsys):
+    assert main(["plan", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("plan: ") and named in err
+
+
+def test_a_config_file_that_cannot_be_read_is_one_line_and_exit_two(tmp_path, capsys):
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"seed = \xff\n")
+    for path in (tmp_path / "missing.cfg", binary, tmp_path):
+        assert main(["plan", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("plan: --config: ")
+
+
+def test_an_invalid_config_file_is_a_message_and_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("total_rounds = 2\nlearning_rte = 1.0\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "m.csv").exists()
+    assert err == "run: invalid config:\n  line 2: unknown key 'learning_rte'\n"
+
+
 def test_plan_with_starvation_budget_prints_empty_and_exits_zero(capsys):
     assert main(["plan", "--client-budgets", "1", "--server-budget", "1"]) == 0
     out = capsys.readouterr().out
@@ -76,6 +109,17 @@ def test_grad_check_fails_with_impossible_tolerance(capsys):
 def test_net_mode_requires_address_flags(capsys):
     assert main(["run", "--mode", "net-server"]) == 2
     assert main(["run", "--mode", "net-client"]) == 2
+
+
+def test_a_client_id_outside_the_config_exits_before_connecting(capsys):
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]  # nothing listens here once the socket closes
+    for cid in ("3", "-1"):  # the default config has 3 clients
+        assert main(["run", "--mode", "net-client", "--connect", f"127.0.0.1:{port}", "--client-id", cid]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("run: --client-id") and f"got {cid}" in err
 
 
 def test_net_mode_end_to_end(tmp_path, capsys):

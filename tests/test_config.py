@@ -148,3 +148,16 @@ def test_ranks_above_d_model_are_a_rank_set_error():
         parse_config_text("d_model = 16\nn_heads = 2")
     assert exc.value.errors == ["rank_set: ranks must not exceed d_model=16, got (1, 2, 4, 8, 16, 32)"]
     assert parse_config_text("d_model = 16\nn_heads = 2\nrank_set = 1,2,4,8,16").rank_set == (1, 2, 4, 8, 16)
+
+
+@pytest.mark.parametrize("line, error", [
+    ("tau0 = nan", "tau0 must be finite, got nan"),
+    ("learning_rate = inf", "learning_rate must be finite, got inf"),
+    ("server_budget = fixed:nan", "server_budget: fixed budget values must be finite"),
+    ("client_budget = uniform:1200,inf", "client_budget: uniform budget values must be finite"),
+    ("client_budget = scripted:1=5,2=nan", "client_budget: scripted budget values must be finite"),
+])
+def test_non_finite_values_are_errors(line, error):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(f"total_rounds = 2\n{line}")
+    assert exc.value.errors == [error]
