@@ -9,7 +9,8 @@ barrier and the protocol cannot deadlock.
 
 Per round t, per client:
   server -> PLAN        (split point, this client's rank assignment; the
-                         ``seed`` field carries the round number t)
+                         ``seed`` field carries the round number t, which
+                         the client checks against its own count)
   client -> ACTIVATIONS (cut activations for its next batch as batch*seq
                          rows; ``n_samples`` is the batch)
   server -> CUT_GRAD    (gradient at the cut)
@@ -20,23 +21,30 @@ then, after every client has finished the round:
   server -> AGG_UPDATE x m + BARRIER   (aggregation rounds)
   server -> BARRIER                    (other rounds; loss field = client loss)
 
-A final BARRIER with round == SHUTDOWN_ROUND ends the session. Matrices
+A client counts its own rounds, 1 to its config's ``total_rounds``, and
+after the last one expects the final BARRIER, with round ==
+SHUTDOWN_ROUND, that ends the session. Matrices
 travel as float32, so both sides merge the float32-rounded aggregation
 delta (the server re-rounds its own copy through the codec) to keep the
 two copies of the base weights bit-identical.
 
-``serve`` runs the one session loop, ``orchestrator.run_session``, with a
+``serve`` runs the one session loop, ``orchestrator.run_session``, over a
 ``RemoteClient`` end per socket, whose calls are the exchanges above, and
-float32 rounding as its delta hook; ``run_client`` drives the in-process
-``ClientSim`` from the frames it receives. Every frame is read through
-``_recv``, which checks its layout: finite entries and, where the exchange
-fixes them, the tag, the matrix shapes and the header fields. A bad hello,
-a frame that does not fit the round (that layout; on the client, a split
-out of range, a PLAN entry off the client side or off the rank set, an
-AGG_UPDATE for a weight the model lacks), a peer silent for
-``PEER_TIMEOUT_S`` or a client that does not connect within it (the
+float32 rounding as its delta hook; ``serve`` builds its state only once
+every client has connected. A ``RemoteClient`` holds its client's shard
+and returns that round's batch as the targets. ``run_client`` drives the
+in-process ``ClientSim`` from the frames it receives. Every frame, the
+hello included, is read through ``_recv``, which checks its layout: finite
+entries and, where the exchange fixes them, the tag, the matrix shapes and
+the header fields. A bad hello, a frame that does not fit the round (that
+layout; on the client, a split out of range, a PLAN entry off the client
+side or off the rank set, an AGG_UPDATE for a weight the model lacks), a
+server that runs fewer or more rounds than the client's config, a peer
+silent for ``PEER_TIMEOUT_S`` or one whose frame, once it arrives in short
+reads, is not whole within it (one deadline per frame, see
+``wire.read_frame``), or a client that does not connect within it (the
 listening socket has the same timeout) ends the session with
-``ProtocolError``.
+``ProtocolError``. Every error ``_recv`` raises names its peer.
 
 Both ends set TCP_NODELAY: the server writes small frames back to back,
 and under Nagle's algorithm the second would wait for the peer's delayed ACK.
@@ -46,7 +54,6 @@ and under Nagle's algorithm the second would wait for the peer's delayed ACK.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import socket
 
 import numpy as np
@@ -83,11 +90,14 @@ def _recv(sock: socket.socket, peer: str, tag: int | None = None, shapes: tuple 
           **fields) -> wire.WireMessage:
     """The next frame from ``peer``, with only finite matrix entries; with
     ``tag``, it must carry that tag, matrices of exactly ``shapes`` and the
-    header ``fields`` (``client_id=...``, ``round=...``) with those values."""
+    header ``fields`` (``client_id=...``, ``round=...``) with those values.
+    A wire error keeps its class and gains the peer's name."""
     try:
         msg = wire.decode_message(wire.read_frame(sock))
     except TimeoutError:
-        raise ProtocolError(f"{peer}: no frame within {PEER_TIMEOUT_S} s") from None
+        raise ProtocolError(f"{peer}: no complete frame within {PEER_TIMEOUT_S} s") from None
+    except wire.WireError as e:
+        raise type(e)(f"{peer}: {e}") from None
     if not all(np.isfinite(m).all() for m in msg.matrices):
         raise ProtocolError(f"{peer}: non-finite entries in a tag-{msg.tag} frame")
     want = (tag, list(shapes), fields)
@@ -102,13 +112,15 @@ def _round_f32(m: np.ndarray) -> np.ndarray:
 
 
 class RemoteClient:
-    """The engine's client end for one connected socket."""
+    """The engine's client end for one connected socket. It holds its
+    client's shard, as the copy task's targets do not travel."""
 
     def __init__(self, sock: socket.socket, client_id: int, config: ExperimentConfig):
         self.sock, self.client_id, self.config = sock, client_id, config
+        self.shard = make_shard(config, client_id)
         self.ranks: tuple[tuple[WeightId, int], ...] = ()
 
-    def forward(self, split: SplitPoint, assignment: dict[WeightId, int], t: int) -> np.ndarray:
+    def forward(self, split: SplitPoint, assignment: dict[WeightId, int], t: int) -> tuple[np.ndarray, np.ndarray]:
         self.ranks = tuple((wid, assignment[wid]) for wid in sorted(assignment, key=WeightId.sort_key))
         plan = wire.WireMessage(wire.PLAN, client_id=self.client_id, split_j=split.j, seed=t, ranks=self.ranks)
         _send(self.sock, plan)
@@ -116,7 +128,7 @@ class RemoteClient:
         batch, seq_len, d = self.config.batch, self.config.model.seq_len, self.config.model.d_model
         acts = _recv(self.sock, f"client {self.client_id}", wire.ACTIVATIONS, [(batch * seq_len, d)],
                      client_id=self.client_id, n_samples=batch).matrices[0]
-        return acts.reshape(batch, seq_len, d)
+        return acts.reshape(batch, seq_len, d), orchestrator.client_batch(self.shard, batch, t)
 
     def backward(self, cut_grad: np.ndarray, t: int) -> tuple[np.ndarray, list[aggregation.AdapterUpload]]:
         cid, peer, mc = self.client_id, f"client {self.client_id}", self.config.model
@@ -138,7 +150,6 @@ class RemoteClient:
 
 def serve(config: ExperimentConfig, host: str, port: int) -> tuple[list[RoundReport], dict]:
     """Run the full experiment over TCP; returns (reports, summary) as the in-process loop does."""
-    state = init_state(config)
     ends: dict[int, RemoteClient] = {}
     with socket.create_server((host, port)) as srv, contextlib.ExitStack() as conns:
         srv.settimeout(PEER_TIMEOUT_S)
@@ -149,21 +160,20 @@ def serve(config: ExperimentConfig, host: str, port: int) -> tuple[list[RoundRep
                 missing = sorted(set(range(config.n_clients)) - ends.keys())
                 raise ProtocolError(f"clients {missing} did not connect within {PEER_TIMEOUT_S} s") from None
             _tune(conn)
-            hello = _recv(conn, "a connecting peer")
-            cid = hello.client_id
-            if hello.tag != wire.BARRIER or not 0 <= cid < config.n_clients or cid in ends:
-                raise ProtocolError(f"bad hello (tag {hello.tag}) from client {cid}, connected: {sorted(ends)}")
+            cid = _recv(conn, "a connecting peer", wire.BARRIER, round=0).client_id
+            if not 0 <= cid < config.n_clients or cid in ends:
+                raise ProtocolError(f"bad hello from client {cid}, connected: {sorted(ends)}")
             ends[cid] = RemoteClient(conn, cid, config)
-        clients = [ends[cid] for cid in range(config.n_clients)]
-        result = orchestrator.run_session(state, clients, _round_f32)
-        for end in clients:
+        state = init_state(config, [ends[cid] for cid in range(config.n_clients)])
+        result = orchestrator.run_session(state, _round_f32)
+        for end in state.clients:
             _send(end.sock, wire.WireMessage(wire.BARRIER, round=SHUTDOWN_ROUND, client_id=end.client_id))
     return result
 
 
 def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -> int:
-    """Connect to a serving peer and take part until shutdown; returns the
-    number of rounds taken part in. The model and shard are built only once
+    """Connect to a serving peer and take part in the config's rounds and the
+    shutdown; returns the rounds. The model and shard are built only once
     connected, so a caller that retries a refused connect does not rebuild them."""
     with socket.create_connection((host, port)) as sock:
         params = model.build_model(config.model, derive_seed(config.seed, "model"))
@@ -171,19 +181,14 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
         rows, d = config.batch * config.model.seq_len, config.model.d_model
         _tune(sock)
         _send(sock, wire.WireMessage(wire.BARRIER, round=0, client_id=client_id))
-        for rounds in itertools.count():
-            plan = _recv(sock, "server")
-            if plan.tag == wire.BARRIER and plan.round == SHUTDOWN_ROUND:
-                return rounds
-            if plan.tag != wire.PLAN:
-                raise ProtocolError(f"expected PLAN, got tag {plan.tag}")
+        for t in range(1, config.total_rounds + 1):
+            plan = _recv(sock, "server", wire.PLAN, client_id=client_id, seed=t)
             split = SplitPoint(plan.split_j)
             off_plan = [(wid, r) for wid, r in plan.ranks if not split.client_side(wid) or r not in config.rank_set]
             if not 1 <= split.j < config.model.n_blocks or off_plan:
-                raise ProtocolError(f"client {client_id}: PLAN at split {split.j} of {config.model.n_blocks} blocks "
-                                    f"with entries off the client side or the rank set {off_plan}")
-            t = plan.seed
-            acts = sim.forward(split, dict(plan.ranks), t)
+                raise ProtocolError(f"server: PLAN at split {split.j} of {config.model.n_blocks} blocks for client "
+                                    f"{client_id}, with entries off the client side or the rank set {off_plan}")
+            acts, _ = sim.forward(split, dict(plan.ranks), t)
             _send(sock, wire.WireMessage(wire.ACTIVATIONS, client_id=client_id, n_samples=config.batch,
                                          matrices=(acts.reshape(-1, acts.shape[-1]),)))
             cut_grad = _recv(sock, "server", wire.CUT_GRAD, [(rows, d)], client_id=client_id).matrices[0]
@@ -197,10 +202,13 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
             while (tail := _recv(sock, "server")).tag == wire.AGG_UPDATE:
                 delta = tail.matrices[0]
                 if tail.weight_id not in params.attn or delta.shape != (d, d):
-                    raise ProtocolError(f"client {client_id}: AGG_UPDATE of {tail.weight_id} {delta.shape}, "
+                    raise ProtocolError(f"server: AGG_UPDATE of {tail.weight_id} {delta.shape} to client {client_id}, "
                                         f"expected a model weight ({d}, {d})")
                 merged[tail.weight_id] = delta
                 params.attn[tail.weight_id] = model.merge_update(params.attn[tail.weight_id], delta)
-            if tail.tag != wire.BARRIER:
-                raise ProtocolError(f"expected AGG_UPDATE or BARRIER, got tag {tail.tag}")
+            if (tail.tag, tail.round, tail.client_id) != (wire.BARRIER, t, client_id):
+                raise ProtocolError(f"server: expected AGG_UPDATE or the round-{t} BARRIER for client {client_id}, "
+                                    f"got tag {tail.tag} (round {tail.round}, client {tail.client_id})")
             sim.finish(t, tail.loss, merged)
+        _recv(sock, "server", wire.BARRIER, client_id=client_id, round=SHUTDOWN_ROUND)
+        return config.total_rounds

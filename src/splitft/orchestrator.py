@@ -10,14 +10,14 @@ uploads per weight, merges the exact delta into the frozen base, and every
 client re-initializes its merged adapters.
 
 ``run_round`` is the only round engine. It drives a list of client ends,
-each with three calls: ``forward(split, assignment, t) -> acts``,
-``backward(cut_grad, t) -> (numerators, uploads)`` and ``finish(t, loss,
-merged)``. ``numerators`` is the end's importance numerators as one float64
-vector in ``all_weight_ids`` order, 0.0 for the weights it holds no
-gradient for. ``ClientSim`` is the in-process end and the default; ``net``
-plugs in a socket end with the same calls, whose remote peer drives its own
-``ClientSim`` from the frames it receives. Both sides cut round t's batch
-with ``client_batch`` from the shard they hold.
+each with three calls: ``forward(split, assignment, t) -> (acts,
+targets)``, ``backward(cut_grad, t) -> (numerators, uploads)`` and
+``finish(t, loss, merged)``; the server scores ``acts`` against
+``targets``. ``numerators`` is the end's importance numerators as one
+float64 vector in ``all_weight_ids`` order, 0.0 for the weights it holds
+no gradient for. ``ClientSim`` is the in-process end and the default;
+``net`` hands ``init_state`` a socket end with the same calls, whose remote
+peer drives its own ``ClientSim`` from the frames it receives.
 
 ``run_session`` is the only loop over rounds, for both transports: it calls
 ``run_round`` once per round, stamps each report's ``duration_s`` around the
@@ -32,7 +32,9 @@ The validated ``ExperimentConfig`` is the one source of a round's inputs:
 plan`` draws round 1 the same way), and ``plan_round`` reads the split
 candidates, rank set and cost model from it each round. ``budget_trace``
 trusts a spec that ``ExperimentConfig.validate`` has checked.
-``ExperimentState`` holds only what one round leaves to the next.
+``ExperimentState`` holds only what one round leaves to the next: the last
+``RoundReport`` is the carry, so the current split, the previous tau and
+the rank mappings to share are read from it, not kept beside it.
 
 Clients are independent within step (2): each one's work reads the base
 weights and the server adapters and writes only that client's adapters.
@@ -107,8 +109,7 @@ def budget_trace(spec: BudgetSpec, client_id: int | None, t: int, seed: int) -> 
 
 def client_batch(shard: np.ndarray, batch: int, t: int) -> np.ndarray:
     """Round t's batch of a client's shard: ``batch`` rows from row
-    (t-1)*batch on, wrapping around. The copy task's targets are its inputs
-    and both sides hold the shard, so tokens never travel."""
+    (t-1)*batch on, wrapping around."""
     n = shard.shape[0]
     start = (t - 1) * batch
     return shard[[(start + i) % n for i in range(batch)]]
@@ -127,13 +128,13 @@ class ClientSim:
     adapters: AdapterSet = field(default_factory=dict)
     cache: ActivationCache | None = None
 
-    def forward(self, split: SplitPoint, assignment: dict[WeightId, int], t: int) -> np.ndarray:
+    def forward(self, split: SplitPoint, assignment: dict[WeightId, int], t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Returns (activations, targets); the copy task's targets are its inputs."""
         cfg, cid = self.config, self.client_id
         self.adapters = _reconcile_adapters(self.adapters, assignment, cfg.model.d_model, (cfg.seed, "adapter", t, cid))
-        acts, self.cache = model.forward_client(
-            self.params, self.adapters, client_batch(self.shard, cfg.batch, t), split
-        )
-        return acts
+        tokens = client_batch(self.shard, cfg.batch, t)
+        acts, self.cache = model.forward_client(self.params, self.adapters, tokens, split)
+        return acts, tokens
 
     def backward(self, cut_grad: np.ndarray, t: int) -> tuple[np.ndarray, list[aggregation.AdapterUpload]]:
         """The client's backward and SGD step; returns its importance
@@ -197,29 +198,29 @@ class ExperimentState:
     # validated ``config`` each round, and the re-plan count from the reports.
     config: ExperimentConfig
     params: ModelParams
-    clients: list[ClientSim]
+    clients: list  # the client ends, one per client in client order
     table: ImportanceTable
     server_adapters: AdapterSet = field(default_factory=dict)
-    plan: RoundPlan | None = None
-    tau: float = 0.0
+    # The last round's report: its split, tau and rank mappings carry over.
+    last: RoundReport | None = None
     # Round t's numerators enter ``table`` at the start of round t+1, so the
     # table after a round holds what that round planned with.
     last_numerators: dict[WeightId, float] = field(default_factory=dict)
     budget_violations: int = 0
-    # The last reported (client, server) rank mappings, reused while unchanged.
-    report_ranks: tuple[dict, dict] = field(default_factory=lambda: ({}, {}))
 
 
-def init_state(config: ExperimentConfig) -> ExperimentState:
+def init_state(config: ExperimentConfig, ends: list | None = None) -> ExperimentState:
+    """The state before round 1, driving ``ends`` (an in-process
+    ``ClientSim`` per client when None), one end per client in client order."""
     config.validate()
     params = model.build_model(config.model, derive_seed(config.seed, "model"))
-    clients = [ClientSim(cid, make_shard(config, cid), params, config) for cid in range(config.n_clients)]
+    if ends is None:
+        ends = [ClientSim(cid, make_shard(config, cid), params, config) for cid in range(config.n_clients)]
     return ExperimentState(
         config=config,
         params=params,
-        clients=clients,
+        clients=ends,
         table=ImportanceTable.for_model(config.model.n_blocks, config.total_rounds),
-        tau=config.tau0,
     )
 
 
@@ -248,12 +249,12 @@ def round_budgets(config: ExperimentConfig, t: int) -> Budgets:
     return cb, sb
 
 
-def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundPlan, float, str]:
-    """Returns (plan, delta_I, reason) under the round's budgets; the reason
-    is "" for a rank-only re-fit and names the cause of a re-selection.
-    Every candidate split is planned once; delta_I, the rank-only re-fit and
-    a re-selection all read those plans."""
-    config = state.config
+def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundPlan, float, float, str]:
+    """Returns (plan, delta_I, tau, reason) under the round's budgets, from
+    the last report's split and tau; the reason is "" for a rank-only re-fit
+    and names the cause of a re-selection. Every candidate split is planned
+    once; delta_I, the rank-only re-fit and a re-selection all read those plans."""
+    config, last = state.config, state.last
     cm, rank_set = config.cost_model(), RankSet(config.rank_set)
 
     if t > 1 and state.last_numerators:
@@ -262,20 +263,20 @@ def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundP
         s: planner.plan_for_split(s, *budgets, state.table, rank_set, cm)
         for s in config.model.split_points()
     }
-    if state.plan is None:
-        return planner.best_plan(plans.values()), 0.0, "initial"
+    if last is None:
+        return planner.best_plan(plans.values()), 0.0, config.tau0, "initial"
 
-    current = state.plan.split
+    current = SplitPoint(last.split_j)
     rank_only = plans[current]
     delta_I = 0.0
     if len(plans) >= 2:
         delta_I = max(p.global_importance for s, p in plans.items() if s != current) - rank_only.global_importance
-    state.tau = planner.threshold_update(state.tau, delta_I, config.epsilon)
+    tau = planner.threshold_update(last.tau, delta_I, config.epsilon)
 
     feasible = rank_only.server_feasible and all(rank_only.client_feasible.values())
-    if planner.decide_adjustment(delta_I, state.tau, feasible):
-        return planner.best_plan(plans.values()), delta_I, "threshold" if feasible else "infeasible"
-    return rank_only, delta_I, ""
+    if planner.decide_adjustment(delta_I, tau, feasible):
+        return planner.best_plan(plans.values()), delta_I, tau, "threshold" if feasible else "infeasible"
+    return rank_only, delta_I, tau, ""
 
 
 def _check_budgets(state: ExperimentState, plan: RoundPlan, budgets: Budgets) -> None:
@@ -323,20 +324,20 @@ def _group_step(
     time. Its first forward starts only once the previous client's forward
     (both halves) has returned: forward halves run in client order, and the
     activation caches of two lanes peak at different moments."""
-    params, server_ads, cfg = state.params, state.server_adapters, state.config
+    params, server_ads = state.params, state.server_adapters
     cids = [end.client_id for end in group]
     if cids[0]:
         turns[cids[0] - 1].wait()
     try:
-        acts = np.stack([end.forward(plan.split, plan.client_assignments[end.client_id], t) for end in group])
+        acts, targets = zip(*(end.forward(plan.split, plan.client_assignments[end.client_id], t) for end in group))
+        acts = np.stack(acts)
         logits, scache = model.forward_server(params, server_ads, acts, plan.split)
     finally:
         for cid in cids:
             turns[cid].set()
     del acts
-    # Copy task: the targets are the tokens.
-    tokens = np.stack([client_batch(state.clients[cid].shard, cfg.batch, t) for cid in cids])
-    losses, s_ad_grads, base_grads, cut_grads = model.loss_and_grad_server(logits, tokens, scache, server_ads)
+    losses, s_ad_grads, base_grads, cut_grads = model.loss_and_grad_server(
+        logits, np.stack(targets), scache, server_ads)
     numerators = _numerators(params, base_grads, (len(group),))
     del base_grads  # the server's d x d grads are not kept through the client backward
     results = []
@@ -385,19 +386,17 @@ def _client_results(state: ExperimentState, plan: RoundPlan, t: int, ends: list)
             raise
 
 
-def run_round(state: ExperimentState, t: int, clients: list | None = None, round_delta=None) -> RoundReport:
-    """One round over the client ends ``clients`` (``state.clients``, the
-    in-process ends, when None), one end per client in client order.
-    ``round_delta``, when given, maps every aggregated delta before the
-    server merges it and hands it to the ends: a transport that delivers a
-    rounded delta rounds the server's copy the same way."""
-    config = state.config
-    ends = state.clients if clients is None else clients
+def run_round(state: ExperimentState, t: int, round_delta=None) -> RoundReport:
+    """One round over the client ends ``state.clients``; the report it
+    returns is also ``state.last``, the next round's carry. ``round_delta``,
+    when given, maps every aggregated delta before the server merges it and
+    hands it to the ends: a transport that delivers a rounded delta rounds
+    the server's copy the same way."""
+    config, ends, prev = state.config, state.clients, state.last
 
     # (1) importance refresh + planning
     budgets = round_budgets(config, t)
-    plan, delta_I, reason = plan_round(state, t, budgets)
-    state.plan = plan
+    plan, delta_I, tau, reason = plan_round(state, t, budgets)
     _check_budgets(state, plan, budgets)
     state.server_adapters = _reconcile_adapters(
         state.server_adapters, plan.server_assignment, config.model.d_model, (config.seed, "adapter", t, -1)
@@ -436,12 +435,11 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
     for cid, end in enumerate(ends):
         end.finish(t, losses[cid], merged)
 
-    prev_client, prev_server = state.report_ranks
-    client_ranks = (prev_client if prev_client == plan.client_assignments
+    client_ranks = (prev.client_ranks if prev and prev.client_ranks == plan.client_assignments
                     else {cid: dict(a) for cid, a in plan.client_assignments.items()})
-    server_ranks = prev_server if prev_server == plan.server_assignment else dict(plan.server_assignment)
-    state.report_ranks = client_ranks, server_ranks
-    return RoundReport(
+    server_ranks = (prev.server_ranks if prev and prev.server_ranks == plan.server_assignment
+                    else dict(plan.server_assignment))
+    state.last = RoundReport(
         t=t,
         losses=losses,
         split_j=plan.split.j,
@@ -449,23 +447,23 @@ def run_round(state: ExperimentState, t: int, clients: list | None = None, round
         server_ranks=server_ranks,
         global_importance=plan.global_importance,
         delta_I=delta_I,
-        tau=state.tau,
+        tau=tau,
         aggregated=aggregated,
         replan_reason=reason,
         infeasible_clients=sorted(cid for cid, ok in plan.client_feasible.items() if not ok),
     )
+    return state.last
 
 
-def run_session(state: ExperimentState, clients: list | None = None,
-                round_delta=None) -> tuple[list[RoundReport], dict]:
-    """Every round of the experiment through ``run_round`` with these
-    ``clients`` and ``round_delta``; returns (reports, summary). Each
+def run_session(state: ExperimentState, round_delta=None) -> tuple[list[RoundReport], dict]:
+    """Every round of the experiment through ``run_round`` with this
+    ``round_delta``; returns (reports, summary). Each
     ``duration_s`` spans the whole ``run_round`` call, teardown of its locals
     included, so no time of a round is left to the caller's set-up."""
     reports = []
     for t in range(1, state.config.total_rounds + 1):
         t0 = time.perf_counter()
-        rep = run_round(state, t, clients, round_delta)
+        rep = run_round(state, t, round_delta)
         rep.duration_s = time.perf_counter() - t0
         reports.append(rep)
     first, last = reports[0].ppls, reports[-1].ppls

@@ -15,6 +15,7 @@ that table, so a layout change is an edit to its entry.
 from __future__ import annotations
 
 import struct
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,15 +177,26 @@ def decode_message(data: bytes) -> WireMessage:
 
 
 def read_frame(sock) -> bytes:
-    """Read one complete frame from a socket-like object with recv()."""
-    header = _recv_exact(sock, _FRAME.size)
-    length = _FRAME.unpack(header)[0]
-    if length > MAX_FRAME:
-        raise WireError(f"frame length {length} exceeds limit")
-    return header + _recv_exact(sock, length)
+    """Read one complete frame from a socket. A socket timeout bounds the
+    frame, not each recv: after a recv that returns short, the next waits
+    only for what is left of the timeout since the frame's read began, so a
+    peer that drips bytes cannot stretch the wait; past it, ``TimeoutError``.
+    A frame whose header and payload each arrive in one recv changes no
+    timeout. The socket's own timeout is restored afterwards."""
+    timeout = sock.gettimeout()
+    deadline = time.monotonic() + timeout if timeout else None
+    try:
+        header = _recv_exact(sock, _FRAME.size, deadline)
+        length = _FRAME.unpack(header)[0]
+        if length > MAX_FRAME:
+            raise WireError(f"frame length {length} exceeds limit")
+        return header + _recv_exact(sock, length, deadline)
+    finally:
+        if sock.gettimeout() != timeout:
+            sock.settimeout(timeout)
 
 
-def _recv_exact(sock, n: int) -> bytes:
+def _recv_exact(sock, n: int, deadline: float | None) -> bytes:
     chunks = []
     got = 0
     while got < n:
@@ -193,4 +205,9 @@ def _recv_exact(sock, n: int) -> bytes:
             raise TruncatedError(f"connection closed with {n - got} bytes outstanding")
         chunks.append(chunk)
         got += len(chunk)
+        if got < n and deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("frame deadline passed")
+            sock.settimeout(left)
     return b"".join(chunks)

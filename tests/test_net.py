@@ -201,8 +201,13 @@ def test_tcp_lanes_and_inline_sessions_are_bit_identical(monkeypatch):
     assert csvs[True] == csvs[False]
 
 
-@pytest.mark.parametrize("hello_ids", [(0, 0), (SHORT.n_clients,)], ids=["duplicate", "out-of-range"])
-def test_serve_rejects_a_bad_hello(hello_ids):
+@pytest.mark.parametrize("hellos, named", [
+    ([(0, 0), (0, 0)], "client 0"),
+    ([(SHORT.n_clients, 0)], f"client {SHORT.n_clients}"),
+    ([(0, 5)], "a connecting peer"),
+], ids=["duplicate", "out-of-range", "round-5"])
+def test_serve_rejects_a_bad_hello(hellos, named):
+    """Each hello is (client id, round); a hello carries round 0."""
     port = _free_port()
     outcome = {}
 
@@ -216,17 +221,17 @@ def test_serve_rejects_a_bad_hello(hello_ids):
     th.start()
     socks, deadline = [], time.perf_counter() + 10.0
     try:
-        for cid in hello_ids:
+        for cid, t in hellos:
             sock = _connect(port, deadline)
             socks.append(sock)
-            sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=cid)))
+            sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=t, client_id=cid)))
         th.join(timeout=10)
     finally:
         for sock in socks:
             sock.close()
     assert not th.is_alive(), "serve waited on after a bad hello"
     assert isinstance(outcome.get("error"), net.ProtocolError)
-    assert f"client {hello_ids[-1]}" in str(outcome["error"])
+    assert named in str(outcome["error"])
 
 
 def test_server_and_clients_hold_identical_base_weights(monkeypatch):
@@ -308,8 +313,9 @@ def test_remote_client_takes_the_batch_from_n_samples(n_samples):
             wire.WireMessage(wire.ACTIVATIONS, client_id=cid, n_samples=n_samples, matrices=(acts,))))
         end = net.RemoteClient(ours, cid, cfg)
         if n_samples == cfg.batch:
-            got = end.forward(SplitPoint(1), {WeightId(0, "Q"): 4}, 1)
+            got, targets = end.forward(SplitPoint(1), {WeightId(0, "Q"): 4}, 1)
             assert np.array_equal(got, acts.reshape(n_samples, rows // n_samples, d))
+            assert np.array_equal(targets, orchestrator.client_batch(orchestrator.make_shard(cfg, cid), cfg.batch, 1))
         else:
             with pytest.raises(net.ProtocolError):
                 end.forward(SplitPoint(1), {WeightId(0, "Q"): 4}, 1)
@@ -364,19 +370,21 @@ def test_serve_ends_with_a_named_error_when_a_peer_misbehaves(fault, error):
         th.join(timeout=10)
         assert not th.is_alive(), f"{th.name} still running after a {fault} peer"
     assert isinstance(outcome.get("server"), error), outcome.get("server")
-    if error is net.ProtocolError:
-        assert "client 0" in str(outcome["server"])
+    assert "client 0" in str(outcome["server"])
     assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")
 
 
 @pytest.mark.parametrize("bad", [None, "agg-update-nan", "agg-update-unknown-block", "cut-grad-shape",
-                                 "plan-server-side", "plan-rank", "plan-split"])
+                                 "plan-server-side", "plan-rank", "plan-split",
+                                 "plan-next-round", "shutdown-early", "plan-past-last-round"])
 def test_run_client_rejects_server_frames_that_do_not_fit_the_round(bad, monkeypatch):
     """A scripted server plays round 1 (which does not aggregate) to a real
     client 0, sends one AGG_UPDATE anyway, then shuts the session down; the
-    case ``bad`` spoils one frame. The client must end with ``ProtocolError``
-    before any non-finite value reaches its copy of the base weights."""
-    cfg = SHORT
+    case ``bad`` spoils one frame, or runs the session one round short of or
+    past the client's config. The client must end with a ``ProtocolError``
+    naming the server before any non-finite value reaches its copy of the
+    base weights."""
+    cfg = replace(SHORT, total_rounds=2 if bad == "shutdown-early" else 1)
     rows, d = cfg.batch * cfg.model.seq_len, cfg.model.d_model
     j = cfg.model.n_blocks if bad == "plan-split" else 1
     ranks = ((WeightId(0, "Q"), 3 if bad == "plan-rank" else 4),)
@@ -386,14 +394,16 @@ def test_run_client_rejects_server_frames_that_do_not_fit_the_round(bad, monkeyp
     if bad == "agg-update-nan":
         update[0, 0] = np.nan
     script = [  # (frame to read first, or None; frames to send after it)
-        (wire.BARRIER, [wire.WireMessage(wire.PLAN, client_id=0, split_j=j, seed=1, ranks=ranks)]),
+        (wire.BARRIER, [wire.WireMessage(wire.PLAN, client_id=0, split_j=j, seed=1 + (bad == "plan-next-round"),
+                                         ranks=ranks)]),
         (wire.ACTIVATIONS, [wire.WireMessage(wire.CUT_GRAD, client_id=0, matrices=(
             np.full((rows, d // 2 if bad == "cut-grad-shape" else d), 1e-3),))]),
         (wire.BARRIER, [
             wire.WireMessage(wire.AGG_UPDATE, weight_id=WeightId(cfg.model.n_blocks if bad == "agg-update-unknown-block"
                                                                  else 0, "K"), matrices=(update,)),
             wire.WireMessage(wire.BARRIER, round=1, client_id=0, loss=1.0),
-            wire.WireMessage(wire.BARRIER, round=net.SHUTDOWN_ROUND, client_id=0),
+            wire.WireMessage(wire.PLAN, client_id=0, split_j=1, seed=2, ranks=ranks) if bad == "plan-past-last-round"
+            else wire.WireMessage(wire.BARRIER, round=net.SHUTDOWN_ROUND, client_id=0),
         ]),
     ]
     built = []
@@ -418,7 +428,7 @@ def test_run_client_rejects_server_frames_that_do_not_fit_the_round(bad, monkeyp
         if bad is None:
             assert net.run_client(cfg, 0, HOST, port) == 1
         else:
-            with pytest.raises(net.ProtocolError):
+            with pytest.raises(net.ProtocolError, match="^server: "):
                 net.run_client(cfg, 0, HOST, port)
         th.join(timeout=10)
         assert not th.is_alive()
@@ -461,6 +471,48 @@ def test_a_silent_peer_ends_the_session_within_the_peer_timeout(monkeypatch):
     assert isinstance(outcome.get("server"), net.ProtocolError), outcome.get("server")
     assert "client 0" in str(outcome["server"])
     assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")
+
+
+def test_a_peer_that_drips_a_frame_ends_within_the_peer_timeout(monkeypatch):
+    """A peer that sends a 22-byte hello one byte every 0.3 s is never
+    silent for the 0.5 s peer timeout, yet its frame is not whole within it."""
+    monkeypatch.setattr(net, "PEER_TIMEOUT_S", 0.5)
+    frame = wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=0))
+    assert len(frame) == 22
+    stop = threading.Event()
+    ours, theirs = socket.socketpair()
+
+    def peer():
+        for byte in frame:
+            theirs.sendall(bytes([byte]))
+            if stop.wait(0.3):
+                return
+
+    with ours, theirs:
+        ours.settimeout(net.PEER_TIMEOUT_S)
+        th = threading.Thread(target=peer, daemon=True)
+        start = time.perf_counter()
+        th.start()
+        with pytest.raises(net.ProtocolError, match="^client 0: no complete frame within 0.5 s"):
+            net._recv(ours, "client 0")
+        elapsed = time.perf_counter() - start
+        assert ours.gettimeout() == net.PEER_TIMEOUT_S  # restored after the frame
+        stop.set()
+        th.join(timeout=5)
+    assert elapsed < 0.8
+
+
+def test_serve_builds_no_client_sim(monkeypatch):
+    built = []  # thread name per ClientSim built
+    init = orchestrator.ClientSim.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(threading.current_thread().name)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator.ClientSim, "__init__", recording)
+    _session(SHORT)
+    assert sorted(built) == [f"client-{cid}" for cid in range(SHORT.n_clients)]
 
 
 def test_serve_names_the_clients_that_never_connect(monkeypatch):

@@ -170,13 +170,44 @@ def test_round_reports_are_lean():
             assert rep.ppls[cid] == model.perplexity(loss)
 
 
-def test_report_ranks_are_copies_of_the_plan():
-    state = init_state(SMALL)
-    rep = run_round(state, 1)
-    for cid, a in state.plan.client_assignments.items():
+def test_report_ranks_are_copies_of_the_plan(monkeypatch):
+    plan_round, plans = orchestrator.plan_round, []
+
+    def recording(*args):
+        out = plan_round(*args)
+        plans.append(out[0])
+        return out
+
+    monkeypatch.setattr(orchestrator, "plan_round", recording)
+    rep = run_round(init_state(SMALL), 1)
+    plan, = plans
+    for cid, a in plan.client_assignments.items():
         assert rep.client_ranks[cid] == a and rep.client_ranks[cid] is not a
-    assert rep.server_ranks == state.plan.server_assignment
-    assert rep.server_ranks is not state.plan.server_assignment
+    assert rep.server_ranks == plan.server_assignment
+    assert rep.server_ranks is not plan.server_assignment
+
+
+def test_each_report_carries_the_round_to_the_next():
+    """Read from the reports alone: tau follows its recurrence from tau0, a
+    rank-only round keeps the split, and rank mappings are the previous
+    report's objects exactly when they are equal."""
+    mc = ModelConfig(n_blocks=4, d_model=16, n_heads=2, vocab_size=16, seq_len=8)
+    base = 1 * mc.seq_len * mc.d_model  # activation cost of one block
+    server = {t: 2.5 * base if t in (5, 6, 7) else 3 * base + 2000.0 for t in range(1, 9)}  # the dip moves the split
+    cfg = replace(
+        SMALL, model=mc, batch=1, total_rounds=8, agg_period=5, seed=1, rank_set=(1, 2, 4, 8, 16),
+        client_budget=BudgetSpec("fixed", value=3 * base + 2000.0),
+        server_budget=BudgetSpec("scripted", table=server),
+    ).validate()
+    reports, _ = run_experiment(cfg)
+    assert reports[0].tau == cfg.tau0
+    assert len({rep.split_j for rep in reports}) > 1
+    for prev, rep in zip(reports, reports[1:]):
+        assert rep.tau == planner.threshold_update(prev.tau, rep.delta_I, cfg.epsilon)
+        if not rep.replanned:
+            assert rep.split_j == prev.split_j
+        assert (rep.client_ranks is prev.client_ranks) == (rep.client_ranks == prev.client_ranks)
+        assert (rep.server_ranks is prev.server_ranks) == (rep.server_ranks == prev.server_ranks)
 
 
 def test_budgets_are_drawn_once_per_round(monkeypatch):
