@@ -18,6 +18,12 @@ A run that exits nonzero makes its pair a failed pair: the tail of its
 stderr is printed, the comparison goes on without that pair, and the
 verdict fails.
 
+Each invocation appends one entry per workload to ``BENCH_<workload>.json``
+at the root of this tree, a JSON list that grows run by run: both commits
+(``+dirty`` when tracked files differ from the commit), the seeds, the
+seconds per run, each metric's median and quartiles on both sides with its
+wins and verdict, and the workload's verdict.
+
 Usage:
     python3 scripts/ab_pairs.py --parent ../parent-checkout --pairs 10 --seconds 45 \\
         --seed 951 --workloads net-desk mid --claim net-desk:round_ms
@@ -49,10 +55,30 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def report(workload: str, runs: list[tuple[dict, dict]], metrics: list[dict], claims: set[str]) -> bool:
+def git_commit(tree: Path) -> str | None:
+    """The commit checked out in ``tree``, ``+dirty`` when tracked files differ from it; None outside git."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode:
+        return None
+    return head.stdout.strip() + ("+dirty" if git("status", "--porcelain", "--untracked-files=no").stdout else "")
+
+
+def append_bench(path: Path, entry: dict) -> None:
+    """Append ``entry`` to the JSON list in ``path``, starting the list if there is none."""
+    entries = json.loads(path.read_text()) if path.exists() else []
+    entries.append(entry)
+    path.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+def report(workload: str, runs: list[tuple[dict, dict]], metrics: list[dict], claims: set[str]) -> tuple[bool, dict]:
+    """Print the workload's comparison; returns (verdict, per-metric figures)."""
+    table = {}
     if len(runs) < 2:
         print(f"\n{workload}: {len(runs)} complete pairs, too few to compare")
-        return False
+        return False, table
     ok = True
     for side, res in (("parent", [p for p, _ in runs]), ("tree", [t for _, t in runs])):
         bad = [i for i, r in enumerate(res) if not r["correct"] or r["failed"]]
@@ -78,9 +104,11 @@ def report(workload: str, runs: list[tuple[dict, dict]], metrics: list[dict], cl
             passed = worse <= m["bound"]
             verdict = f"bound {m['bound']:g} {'ok' if passed else 'BREACH'}"
         ok &= passed
+        table[name] = {"parent": {"median": am, "q1": a1, "q3": a3}, "tree": {"median": bm, "q1": b1, "q3": b3},
+                       "change": change, "wins": wins, "verdict": verdict}
         print(f"{name:<14} {f'{am:.4g} ({a1:.4g}-{a3:.4g})':>30} {f'{bm:.4g} ({b1:.4g}-{b3:.4g})':>30} "
               f"{change:>+8.1%} {f'{wins}/{len(runs)}':>6}  {verdict}")
-    return ok
+    return ok, table
 
 
 def main() -> int:
@@ -97,6 +125,7 @@ def main() -> int:
 
     bench = json.loads((TREE / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    commits = {"commit": git_commit(TREE), "parent": git_commit(args.parent)}
     results = {w: [] for w in workloads}
     csv_diffs, failed = [], []
     for i in range(args.pairs):
@@ -130,7 +159,13 @@ def main() -> int:
         print("Pairs with a failed run:", ", ".join(failed))
     for w in workloads:
         claims = {c.split(":", 1)[1] for c in args.claim if c.split(":", 1)[0] == w}
-        ok &= report(w, results[w], bench["end_to_end"], claims)
+        passed, table = report(w, results[w], bench["end_to_end"], claims)
+        passed &= not any(bad.startswith(f"{w} seed ") for bad in csv_diffs + failed)
+        ok &= passed
+        append_bench(TREE / f"BENCH_{w}.json", {
+            **commits, "seeds": list(range(args.seed, args.seed + args.pairs)), "seconds": args.seconds,
+            "pairs": len(results[w]), "claims": sorted(claims), "metrics": table,
+            "verdict": "pass" if passed else "fail"})
     return 0 if ok else 1
 
 

@@ -51,20 +51,7 @@ def balance(current: float, hist: float, t: int, T: int) -> float:
 
 @dataclass
 class ImportanceRecord:
-    weight_id: WeightId
     blended_numerator: float = 0.0
-
-
-def update(record: ImportanceRecord, current_numerator: float, t: int, T: int) -> ImportanceRecord:
-    if current_numerator < 0:
-        raise ValueError(f"numerator must be non-negative, got {current_numerator}")
-    prev = record.blended_numerator
-    if t <= 1 or prev == 0.0:
-        blended = current_numerator  # bootstrap: no usable history yet
-    else:
-        g = balance(current_numerator, prev, t, T)
-        blended = g * prev + (1.0 - g) * current_numerator
-    return ImportanceRecord(record.weight_id, blended)
 
 
 @dataclass
@@ -74,11 +61,20 @@ class ImportanceTable:
 
     @classmethod
     def for_model(cls, n_blocks: int, total_rounds: int) -> "ImportanceTable":
-        return cls(total_rounds, {wid: ImportanceRecord(wid) for wid in all_weight_ids(n_blocks)})
+        return cls(total_rounds, {wid: ImportanceRecord() for wid in all_weight_ids(n_blocks)})
 
     def blended(self, wid: WeightId) -> float:
         return self.records[wid].blended_numerator
 
     def update_round(self, numerators: dict[WeightId, float], t: int) -> None:
+        """Blend round t's numerator of each weight in ``numerators`` into
+        its record, in place; the others keep theirs. A record without
+        history (round 1, or still 0.0) takes the numerator as it is."""
         for wid, num in numerators.items():
-            self.records[wid] = update(self.records[wid], num, t, self.total_rounds)
+            if num < 0:
+                raise ValueError(f"numerator must be non-negative, got {num}")
+            prev = self.records[wid].blended_numerator
+            if t > 1 and prev != 0.0:
+                g = balance(num, prev, t, self.total_rounds)
+                num = g * prev + (1.0 - g) * num
+            self.records[wid].blended_numerator = num

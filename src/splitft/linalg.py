@@ -18,7 +18,6 @@ class ShapeError(ValueError):
 
     def __init__(self, msg: str, *shapes: tuple[int, ...]):
         super().__init__(f"{msg}: {' vs '.join(str(s) for s in shapes)}" if shapes else msg)
-        self.shapes = shapes
 
 
 def derive_seed(*parts) -> int:

@@ -97,8 +97,7 @@ def build_model(config: ModelConfig, seed: int) -> ModelParams:
 class BlockCache:
     """One block's activations; a group's carry the leading client axis (C, ...)."""
 
-    xn2: Matrix  # (b*L, d) normalized input, fed to Q/K/V
-    ln_y: np.ndarray  # (b, L, d) same values as xn2, 3-D view for LN backward
+    ln_y: np.ndarray  # (b, L, d) normalized input, fed to Q/K/V as rows
     ln_inv: np.ndarray  # (b, L, 1) 1/sqrt(var+eps)
     q: np.ndarray  # (b, h, L, dh)
     k: np.ndarray
@@ -198,7 +197,7 @@ def _block_forward(
     ctx2 = _merge_heads(p @ v, b, L, d)
     out2 = lora.adapted_forward(ctx2, params.attn[wo], adapters.get(wo))
     y = x + out2.reshape(x.shape)
-    return y, BlockCache(xn2, ln_y, ln_inv, q, k, v, p, ctx2)
+    return y, BlockCache(ln_y, ln_inv, q, k, v, p, ctx2)
 
 
 def _weight_grads(
@@ -246,7 +245,7 @@ def _block_backward(
 
     qkv = tuple(zip((wq, wk, wv), (_merge_heads(g, b, L, d) for g in (dq, dk, dv))))
     for wid, g2 in qkv:
-        _weight_grads(cache.xn2, g2, wid, adapters.get(wid), adapter_grads, base_grads)
+        _weight_grads(_rows(cache.ln_y), g2, wid, adapters.get(wid), adapter_grads, base_grads)
     if not input_grad:
         return None
     dxn2 = np.zeros(d_out2.shape)

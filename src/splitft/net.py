@@ -36,12 +36,16 @@ and returns that round's batch as the targets. ``run_client`` drives the
 in-process ``ClientSim`` from the frames it receives. Every frame, the
 hello included, is read through ``_recv``, which checks its layout: finite
 entries and, where the exchange fixes them, the tag, the matrix shapes and
-the header fields. A bad hello, a frame that does not fit the round (that
-layout; on the client, a split out of range, a PLAN entry off the client
-side or off the rank set, an AGG_UPDATE for a weight the model lacks), a
-server that runs fewer or more rounds than the client's config, a peer
-silent for ``PEER_TIMEOUT_S`` or one whose frame, once it arrives in short
-reads, is not whole within it (one deadline per frame, see
+the header fields. Where those fix the frame's length (every frame but
+PLAN and the AGG_UPDATE/BARRIER tail of a round), the frame is read as one
+read of that length, and a header that declares another ends the session
+before any payload is read. A bad hello, a frame that does not fit the
+round (that layout; on the client, a split out of range, a PLAN entry off
+the client side or off the rank set, an AGG_UPDATE for a weight the model
+lacks), a server that runs fewer or more rounds than the client's config,
+a peer silent for ``PEER_TIMEOUT_S`` or one whose frame, once it arrives
+in short reads, is not whole within it (one deadline per frame; twice the
+timeout at most for the frames of unfixed length, see
 ``wire.read_frame``), or a client that does not connect within it (the
 listening socket has the same timeout) ends the session with
 ``ProtocolError``. Every error ``_recv`` raises names its peer.
@@ -60,9 +64,9 @@ import numpy as np
 
 from . import aggregation, model, orchestrator, wire
 from .config import ExperimentConfig
-from .linalg import derive_seed
 from .orchestrator import ClientSim, RoundReport, init_state, make_shard
 from .weights import SplitPoint, WeightId, all_weight_ids
+from .wire import ProtocolError
 
 SHUTDOWN_ROUND = 0xFFFFFFFF
 # Longest wait for a peer's next frame. The longest legitimate silence is a
@@ -71,10 +75,6 @@ SHUTDOWN_ROUND = 0xFFFFFFFF
 # net-client``); rounds of the configured scales take well under a second.
 # Five minutes covers both, so only a stalled peer reaches it.
 PEER_TIMEOUT_S = 300.0
-
-
-class ProtocolError(wire.WireError):
-    """A peer sent a well-formed frame that does not fit the session."""
 
 
 def _send(sock: socket.socket, msg: wire.WireMessage) -> None:
@@ -90,10 +90,12 @@ def _recv(sock: socket.socket, peer: str, tag: int | None = None, shapes: tuple 
           **fields) -> wire.WireMessage:
     """The next frame from ``peer``, with only finite matrix entries; with
     ``tag``, it must carry that tag, matrices of exactly ``shapes`` and the
-    header ``fields`` (``client_id=...``, ``round=...``) with those values.
-    A wire error keeps its class and gains the peer's name."""
+    header ``fields`` (``client_id=...``, ``round=...``) with those values,
+    and unless it is a PLAN it is read as a frame of exactly that size
+    (``wire.read_frame``). A wire error keeps its class and gains the peer's
+    name."""
     try:
-        msg = wire.decode_message(wire.read_frame(sock))
+        msg = wire.decode_message(wire.read_frame(sock, None if tag is None else wire.frame_size(tag, shapes)))
     except TimeoutError:
         raise ProtocolError(f"{peer}: no complete frame within {PEER_TIMEOUT_S} s") from None
     except wire.WireError as e:
@@ -176,8 +178,7 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
     shutdown; returns the rounds. The model and shard are built only once
     connected, so a caller that retries a refused connect does not rebuild them."""
     with socket.create_connection((host, port)) as sock:
-        params = model.build_model(config.model, derive_seed(config.seed, "model"))
-        sim = ClientSim(client_id, make_shard(config, client_id), params, config)
+        sim = ClientSim.build(config, client_id, orchestrator.base_model(config))
         rows, d = config.batch * config.model.seq_len, config.model.d_model
         _tune(sock)
         _send(sock, wire.WireMessage(wire.BARRIER, round=0, client_id=client_id))
@@ -201,11 +202,11 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
             merged = {}
             while (tail := _recv(sock, "server")).tag == wire.AGG_UPDATE:
                 delta = tail.matrices[0]
-                if tail.weight_id not in params.attn or delta.shape != (d, d):
+                if tail.weight_id not in sim.params.attn or delta.shape != (d, d):
                     raise ProtocolError(f"server: AGG_UPDATE of {tail.weight_id} {delta.shape} to client {client_id}, "
                                         f"expected a model weight ({d}, {d})")
                 merged[tail.weight_id] = delta
-                params.attn[tail.weight_id] = model.merge_update(params.attn[tail.weight_id], delta)
+                sim.params.attn[tail.weight_id] = model.merge_update(sim.params.attn[tail.weight_id], delta)
             if (tail.tag, tail.round, tail.client_id) != (wire.BARRIER, t, client_id):
                 raise ProtocolError(f"server: expected AGG_UPDATE or the round-{t} BARRIER for client {client_id}, "
                                     f"got tag {tail.tag} (round {tail.round}, client {tail.client_id})")

@@ -41,8 +41,9 @@ weights and the server adapters and writes only that client's adapters.
 How step (2) is scheduled depends on the size of a client's activations,
 batch * seq_len * d_model entries, against ``PARALLEL_MIN_ENTRIES``:
 - Above the gate, with two cores, it runs in two lanes: the calling thread
-  takes clients 0, 2, 4, ... and one worker thread, opened for the round,
-  takes 1, 3, 5, .... A client's forward starts only after the previous
+  takes clients 0, 2, 4, ... and the process's one lane worker thread,
+  started by the first such round and kept for every later one, takes
+  1, 3, 5, .... A client's forward starts only after the previous
   client's forward has returned, so forward halves run in client order and
   the two lanes' activation caches peak at different moments.
 - Below it the numpy calls are so short that Python call overhead, not
@@ -59,7 +60,7 @@ batch * seq_len * d_model entries, against ``PARALLEL_MIN_ENTRIES``:
   every float sum keeps its order and the outputs are bit-identical to
   running the clients one after another.
 - A failing client step, in either lane or any group, ends the round with
-  its error.
+  its error, once no step of the round is left running.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ import threading
 import time
 from collections import deque
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +128,11 @@ class ClientSim:
     config: ExperimentConfig
     adapters: AdapterSet = field(default_factory=dict)
     cache: ActivationCache | None = None
+
+    @classmethod
+    def build(cls, config: ExperimentConfig, client_id: int, params: ModelParams) -> "ClientSim":
+        """Client ``client_id``'s end over ``params``, with the shard its config seeds."""
+        return cls(client_id, make_shard(config, client_id), params, config)
 
     def forward(self, split: SplitPoint, assignment: dict[WeightId, int], t: int) -> tuple[np.ndarray, np.ndarray]:
         """Returns (activations, targets); the copy task's targets are its inputs."""
@@ -209,13 +215,18 @@ class ExperimentState:
     budget_violations: int = 0
 
 
+def base_model(config: ExperimentConfig) -> ModelParams:
+    """The frozen base model every side starts from, seeded by the config."""
+    return model.build_model(config.model, derive_seed(config.seed, "model"))
+
+
 def init_state(config: ExperimentConfig, ends: list | None = None) -> ExperimentState:
     """The state before round 1, driving ``ends`` (an in-process
     ``ClientSim`` per client when None), one end per client in client order."""
     config.validate()
-    params = model.build_model(config.model, derive_seed(config.seed, "model"))
+    params = base_model(config)
     if ends is None:
-        ends = [ClientSim(cid, make_shard(config, cid), params, config) for cid in range(config.n_clients)]
+        ends = [ClientSim.build(config, cid, params) for cid in range(config.n_clients)]
     return ExperimentState(
         config=config,
         params=params,
@@ -294,6 +305,9 @@ def _check_budgets(state: ExperimentState, plan: RoundPlan, budgets: Budgets) ->
 # Lanes above this many entries per client's activations (batch * seq_len *
 # d_model), groups below it; see the module docstring.
 PARALLEL_MIN_ENTRIES = 8192
+# The one lane worker of the process. Its thread starts at the first
+# submitted step, not at import, and serves every later lane-sized round.
+_LANE = ThreadPoolExecutor(1)
 
 ClientResult = tuple[float, AdapterGrads, np.ndarray, list[aggregation.AdapterUpload]]
 
@@ -352,11 +366,12 @@ def _client_results(state: ExperimentState, plan: RoundPlan, t: int, ends: list)
     """Yield every client's step result in client order.
 
     Above the size gate the steps run in two lanes, as groups of one: this
-    thread runs clients 0, 2, 4, ... and one worker thread runs 1, 3, 5,
+    thread runs clients 0, 2, 4, ... and the lane worker runs 1, 3, 5,
     .... Below it they run inline, in groups of as many clients as fit
-    under the gate. If a step raises, every pending turn is released and
-    queued steps are cancelled before the error propagates, so the round
-    never hangs.
+    under the gate. If a step raises, every pending turn is released, the
+    worker's queued steps are cancelled and its running one is waited for
+    before the error propagates, so the round never hangs and leaves no
+    step behind.
     """
     turns = [threading.Event() for _ in ends]
     step = functools.partial(_group_step, state, plan, t, turns)
@@ -367,23 +382,24 @@ def _client_results(state: ExperimentState, plan: RoundPlan, t: int, ends: list)
         for i in range(0, len(ends), size):
             yield from step(ends[i:i + size])
         return
-    with ThreadPoolExecutor(1) as pool:
-        # Popped as consumed: a future keeps its result alive.
-        odd = deque(pool.submit(step, [e]) for e in ends[1::2])
-        try:
-            for i, end in enumerate(ends[0::2]):
-                mine = step([end])
-                if i:
-                    yield from odd.popleft().result()
-                yield from mine
-                del mine  # not held through the next step
-            if odd:
+    # Popped as consumed: a future keeps its result alive.
+    odd = deque(_LANE.submit(step, [e]) for e in ends[1::2])
+    try:
+        for i, end in enumerate(ends[0::2]):
+            mine = step([end])
+            if i:
                 yield from odd.popleft().result()
-        except BaseException:
-            for turn in turns:
-                turn.set()
-            pool.shutdown(cancel_futures=True)
-            raise
+            yield from mine
+            del mine  # not held through the next step
+        if odd:
+            yield from odd.popleft().result()
+    except BaseException:
+        for turn in turns:
+            turn.set()
+        for future in odd:
+            future.cancel()
+        wait(odd)
+        raise
 
 
 def run_round(state: ExperimentState, t: int, round_delta=None) -> RoundReport:

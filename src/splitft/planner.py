@@ -21,7 +21,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .importance import ImportanceTable
-from .weights import KIND_ORDER, SplitPoint, WeightId, all_weight_ids
+from .weights import SplitPoint, WeightId, all_weight_ids
 
 DEFAULT_RANK_SET = (1, 2, 4, 8, 16, 32)
 DEFAULT_TAU0 = 0.05
@@ -90,7 +90,7 @@ def side_cost(split: SplitPoint, side: str, assignment: Assignment, cost_model: 
 
 def sort_candidates(weight_ids: list[WeightId], table: ImportanceTable) -> list[WeightId]:
     """Descending blended importance, ties by (block asc, Q<K<V<O)."""
-    return sorted(weight_ids, key=lambda w: (-table.blended(w), w.block, KIND_ORDER[w.kind]))
+    return sorted(weight_ids, key=lambda w: (-table.blended(w), w.sort_key()))
 
 
 def greedy_assign(

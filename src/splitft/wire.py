@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .weights import KINDS, WeightId
+from .weights import KIND_ORDER, KINDS, WeightId
 
 ACTIVATIONS = 1
 CUT_GRAD = 2
@@ -29,7 +29,6 @@ AGG_UPDATE = 4
 PLAN = 5
 BARRIER = 6
 
-_KIND_CODE = {k: i for i, k in enumerate(KINDS)}
 MAX_FRAME = 1 << 30
 
 
@@ -47,6 +46,10 @@ class UnknownTagError(WireError):
 
 class LengthMismatchError(WireError):
     pass
+
+
+class ProtocolError(WireError):
+    """A peer sent a well-formed frame that does not fit the session."""
 
 
 @dataclass(frozen=True)
@@ -133,14 +136,14 @@ def encode_message(m: WireMessage) -> bytes:
     values = []
     for f in fields:
         if f == "block":
-            values += (m.weight_id.block, _KIND_CODE[m.weight_id.kind])
+            values += (m.weight_id.block, KIND_ORDER[m.weight_id.kind])
         elif f in ("ranks", "matrices"):
             values.append(len(getattr(m, f)))
         elif f != "kind":
             values.append(getattr(m, f))
     parts = [header.pack(*values)]
     for wid, r in m.ranks:
-        parts.append(_ENTRY.pack(wid.block, _KIND_CODE[wid.kind], r))
+        parts.append(_ENTRY.pack(wid.block, KIND_ORDER[wid.kind], r))
     for mat in m.matrices:
         parts += (_DIMS.pack(*mat.shape), np.ascontiguousarray(mat, dtype="<f4").tobytes())
     payload = b"".join(parts)
@@ -176,38 +179,56 @@ def decode_message(data: bytes) -> WireMessage:
     return WireMessage(tag, **kw)
 
 
-def read_frame(sock) -> bytes:
+def frame_size(tag: int, shapes) -> int | None:
+    """The byte length of a whole frame of ``tag`` whose matrices have
+    ``shapes``; None for a PLAN, as the shapes do not count its entries."""
+    header, fields, _ = _LAYOUT[tag]
+    if "ranks" in fields:
+        return None
+    return _FRAME.size + header.size + sum(_DIMS.size + 4 * rows * cols for rows, cols in shapes)
+
+
+def read_frame(sock, size: int | None = None) -> bytes:
     """Read one complete frame from a socket. A socket timeout bounds the
-    frame, not each recv: after a recv that returns short, the next waits
-    only for what is left of the timeout since the frame's read began, so a
-    peer that drips bytes cannot stretch the wait; past it, ``TimeoutError``.
-    A frame whose header and payload each arrive in one recv changes no
-    timeout. The socket's own timeout is restored afterwards."""
+    frame, not each recv: after a recv that returns less than it asked for,
+    the next waits only for what is left of the timeout since the frame's
+    read began, so a peer that drips bytes cannot stretch the wait; past it,
+    ``TimeoutError``. A recv that returns all it asked for changes no
+    timeout, and the socket's own timeout is restored afterwards.
+
+    With ``size`` (see ``frame_size``) the first recv asks for the whole
+    frame, so the frame takes at most one timeout and ``size`` bytes, and a
+    header that declares another length raises ``ProtocolError`` before
+    more is read. Without it the header and the payload are asked for in
+    turn: a header that arrives whole leaves the payload's first recv a
+    whole timeout, so such a frame may take up to twice the timeout and
+    ``MAX_FRAME`` payload bytes."""
     timeout = sock.gettimeout()
     deadline = time.monotonic() + timeout if timeout else None
+    chunks, got, length = [], 0, None
+    want = size or _FRAME.size  # the header, once read, fixes the rest
     try:
-        header = _recv_exact(sock, _FRAME.size, deadline)
-        length = _FRAME.unpack(header)[0]
-        if length > MAX_FRAME:
-            raise WireError(f"frame length {length} exceeds limit")
-        return header + _recv_exact(sock, length, deadline)
+        while got < want:
+            ask = want - got
+            chunk = sock.recv(ask)
+            if not chunk:
+                raise TruncatedError(f"connection closed with {ask} bytes outstanding")
+            chunks.append(chunk)
+            got += len(chunk)
+            if length is None and got >= _FRAME.size:
+                length, tag = _FRAME.unpack_from(b"".join(chunks))
+                if length > MAX_FRAME:
+                    raise WireError(f"frame length {length} exceeds limit")
+                if size is not None and _FRAME.size + length != size:
+                    raise ProtocolError(f"a tag-{tag} frame declares {length} payload bytes, "
+                                        f"expected {size - _FRAME.size}")
+                want = _FRAME.size + length
+            if got < want and len(chunk) < ask and deadline is not None:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError("frame deadline passed")
+                sock.settimeout(left)
+        return b"".join(chunks)
     finally:
         if sock.gettimeout() != timeout:
             sock.settimeout(timeout)
-
-
-def _recv_exact(sock, n: int, deadline: float | None) -> bytes:
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = sock.recv(n - got)
-        if not chunk:
-            raise TruncatedError(f"connection closed with {n - got} bytes outstanding")
-        chunks.append(chunk)
-        got += len(chunk)
-        if got < n and deadline is not None:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise TimeoutError("frame deadline passed")
-            sock.settimeout(left)
-    return b"".join(chunks)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitft import importance
-from splitft.importance import ImportanceRecord, ImportanceTable, balance, gw_numerator, update
+from splitft.importance import ImportanceTable, balance, gw_numerator
 from splitft.linalg import ShapeError
-from splitft.weights import WeightId
+from splitft.weights import WeightId, all_weight_ids
 
 WID = WeightId(0, "Q")
 
@@ -52,21 +52,27 @@ def test_balance_stays_in_open_unit_interval(cur, hist, a, b):
     assert 0.0 < g < 1.0
 
 
+def _blended_after(numerator, t, history=0.0, T=10):
+    """The record of WID after ``update_round`` blends ``numerator`` in at
+    round ``t`` onto a blended numerator of ``history``."""
+    table = ImportanceTable.for_model(1, T)
+    table.records[WID].blended_numerator = history
+    table.update_round({WID: numerator}, t)
+    return table.records[WID]
+
+
 def test_update_bootstrap_first_round():
-    rec = ImportanceRecord(WID)
-    out = update(rec, 3.0, 1, 10)
+    out = _blended_after(3.0, 1)
     assert out.blended_numerator == 3.0
 
 
 def test_update_bootstrap_zero_history():
-    rec = ImportanceRecord(WID, blended_numerator=0.0)
-    out = update(rec, 2.5, 5, 10)
+    out = _blended_after(2.5, 5, history=0.0)
     assert out.blended_numerator == 2.5
 
 
 def test_update_blends_toward_history():
-    rec = ImportanceRecord(WID, blended_numerator=2.0)
-    out = update(rec, 4.0, 5, 10)
+    out = _blended_after(4.0, 5, history=2.0)
     g = balance(4.0, 2.0, 5, 10)
     assert out.blended_numerator == pytest.approx(g * 2.0 + (1 - g) * 4.0, abs=1e-15)
     assert 2.0 < out.blended_numerator < 4.0
@@ -74,7 +80,44 @@ def test_update_blends_toward_history():
 
 def test_update_rejects_negative():
     with pytest.raises(ValueError):
-        update(ImportanceRecord(WID), -1.0, 1, 10)
+        _blended_after(-1.0, 1)
+
+
+def _oracle_update(prev: float, current_numerator: float, t: int, T: int) -> float:
+    """The per-record blend that ``update_round`` once rebuilt every record
+    with, kept as the oracle of its in-place blend."""
+    if current_numerator < 0:
+        raise ValueError(f"numerator must be non-negative, got {current_numerator}")
+    if t <= 1 or prev == 0.0:
+        blended = current_numerator  # bootstrap: no usable history yet
+    else:
+        g = balance(current_numerator, prev, t, T)
+        blended = g * prev + (1.0 - g) * current_numerator
+    return blended
+
+
+_numerator = st.one_of(st.just(0.0), st.floats(1e-12, 1e6))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(2, 3), st.integers(1, 50), st.data())
+def test_update_round_blends_in_place_as_the_oracle(n_blocks, T, data):
+    """Random rounds of partial numerator dicts: every record's blended
+    numerator has the oracle's bits, and a record is the same object
+    throughout."""
+    wids = all_weight_ids(n_blocks)
+    table = ImportanceTable.for_model(n_blocks, T)
+    records = dict(table.records)
+    want = {wid: 0.0 for wid in wids}
+    for t in data.draw(st.lists(st.integers(1, T), min_size=1, max_size=12)):
+        subset = data.draw(st.lists(st.sampled_from(wids), unique=True))
+        numerators = {wid: data.draw(_numerator) for wid in subset}
+        table.update_round(numerators, t)
+        for wid, num in numerators.items():
+            want[wid] = _oracle_update(want[wid], num, t, T)
+        assert {wid: rec.blended_numerator.hex() for wid, rec in table.records.items()} == \
+            {wid: v.hex() for wid, v in want.items()}
+    assert all(table.records[wid] is rec for wid, rec in records.items())
 
 
 def test_table_lifecycle():

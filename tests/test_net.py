@@ -2,6 +2,7 @@
 
 import io
 import socket
+import struct
 import threading
 import time
 from dataclasses import replace
@@ -117,10 +118,10 @@ def test_both_ends_set_tcp_nodelay(monkeypatch):
     read_frame = wire.read_frame
     nodelay = {}  # (thread name, socket) -> TCP_NODELAY as read before each frame
 
-    def recording(sock):
+    def recording(sock, *args):
         key = (threading.current_thread().name, id(sock))
         nodelay.setdefault(key, set()).add(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
-        return read_frame(sock)
+        return read_frame(sock, *args)
 
     monkeypatch.setattr(wire, "read_frame", recording)
     _session(SHORT)
@@ -196,7 +197,7 @@ def test_tcp_lanes_and_inline_sessions_are_bit_identical(monkeypatch):
         buf = io.StringIO()
         metrics.write_csv(_session(cfg)[0], buf)
         csvs[lanes] = buf.getvalue()
-        # One lane worker is opened per round, each with its own name.
+        # The odd lane runs on the process's one lane worker.
         assert {name.split("-")[0] for name in threads} == ({"server", "ThreadPoolExecutor"} if lanes else {"server"})
     assert csvs[True] == csvs[False]
 
@@ -500,6 +501,55 @@ def test_a_peer_that_drips_a_frame_ends_within_the_peer_timeout(monkeypatch):
         stop.set()
         th.join(timeout=5)
     assert elapsed < 0.8
+
+
+def _typed_read_of(frame_head, delay):
+    """``net._recv`` of client 0's ACTIVATIONS on a SHORT session, with a
+    0.5 s peer timeout, while the peer sends only ``frame_head`` after
+    ``delay`` seconds and then stays connected: (error, seconds taken)."""
+    rows, d = SHORT.batch * SHORT.model.seq_len, SHORT.model.d_model
+    stop = threading.Event()
+    ours, theirs = socket.socketpair()
+
+    def peer():
+        if not stop.wait(delay):
+            theirs.sendall(frame_head)
+            stop.wait(5)
+
+    with ours, theirs:
+        ours.settimeout(net.PEER_TIMEOUT_S)
+        th = threading.Thread(target=peer, daemon=True)
+        start = time.perf_counter()
+        th.start()
+        with pytest.raises(net.ProtocolError) as caught:
+            net._recv(ours, "client 0", wire.ACTIVATIONS, [(rows, d)], client_id=0, n_samples=SHORT.batch)
+        elapsed = time.perf_counter() - start
+        assert ours.gettimeout() == net.PEER_TIMEOUT_S
+        stop.set()
+        th.join(timeout=5)
+    return str(caught.value), elapsed
+
+
+def test_a_typed_frame_that_declares_another_length_is_refused_at_its_header(monkeypatch):
+    """A peer that declares a 1 GiB ACTIVATIONS frame is named at once: the
+    header alone shows the frame cannot have the expected shapes."""
+    monkeypatch.setattr(net, "PEER_TIMEOUT_S", 0.5)
+    error, elapsed = _typed_read_of(struct.pack("<IB", wire.MAX_FRAME, wire.ACTIVATIONS), 0.0)
+    assert error.startswith(f"client 0: a tag-{wire.ACTIVATIONS} frame declares {wire.MAX_FRAME} payload bytes")
+    assert elapsed < 0.2
+
+
+def test_a_typed_frame_whose_payload_stalls_ends_at_the_peer_timeout(monkeypatch):
+    """A whole, well-sized header just before the 0.5 s timeout and then
+    no payload: the frame's read still ends at the timeout, allowing 0.2 s
+    of slack for thread start-up and scheduling."""
+    monkeypatch.setattr(net, "PEER_TIMEOUT_S", 0.5)
+    rows, d = SHORT.batch * SHORT.model.seq_len, SHORT.model.d_model
+    frame = wire.encode_message(wire.WireMessage(wire.ACTIVATIONS, client_id=0, n_samples=SHORT.batch,
+                                                 matrices=(np.zeros((rows, d)),)))
+    error, elapsed = _typed_read_of(frame[:5], 0.45)
+    assert error == "client 0: no complete frame within 0.5 s"
+    assert elapsed < 0.5 + 0.2
 
 
 def test_serve_builds_no_client_sim(monkeypatch):

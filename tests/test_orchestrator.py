@@ -312,8 +312,20 @@ def test_a_failing_client_step_ends_the_round(monkeypatch, where, bad):
             raise RuntimeError(f"client {bad} failed on {threading.current_thread().name}")
         return failing(*args)
 
+    group_step, running, lock = orchestrator._group_step, [0], threading.Lock()
+
+    def counting(*args):
+        with lock:
+            running[0] += 1
+        try:
+            return group_step(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
     monkeypatch.setattr(model, "forward_client", tagging)
     monkeypatch.setattr(model, where, maybe_fail)
+    monkeypatch.setattr(orchestrator, "_group_step", counting)
     outcome = {}
 
     def target():
@@ -321,13 +333,37 @@ def test_a_failing_client_step_ends_the_round(monkeypatch, where, bad):
             run_round(state, 1)
         except RuntimeError as e:
             outcome["error"] = str(e)
+            outcome["running"] = running[0]  # steps of the round still running as it ends
+        monkeypatch.setattr(model, where, failing)
+        outcome["next"] = run_round(state, 1)
 
     caller = threading.Thread(target=target, name="caller", daemon=True)
     caller.start()
     caller.join(timeout=30)
-    assert not caller.is_alive(), "the round hung after a client step failed"
+    assert not caller.is_alive(), "the round, or the next one, hung after a client step failed"
     lane = "caller" if bad % 2 == 0 else "ThreadPoolExecutor"
     assert outcome.get("error", "").startswith(f"client {bad} failed on {lane}")
+    assert outcome["running"] == 0
+    assert sorted(outcome["next"].losses) == list(range(cfg.n_clients))
+
+
+def test_lane_rounds_run_every_odd_client_on_one_thread(monkeypatch):
+    monkeypatch.setattr(orchestrator, "PARALLEL_MIN_ENTRIES", 0)
+    monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 2)
+    cfg = replace(SMALL, n_clients=4, total_rounds=2)
+    state = init_state(cfg)
+    forward_client, threads = model.forward_client, {}  # client -> threads its forward halves ran on
+
+    def recording(params, adapters, tokens, split):
+        threads.setdefault(_client_of(state, adapters), set()).add(threading.current_thread())
+        return forward_client(params, adapters, tokens, split)
+
+    monkeypatch.setattr(model, "forward_client", recording)
+    for t in (1, 2):
+        run_round(state, t)
+    (lane,) = threads[1] | threads[3]
+    assert lane is not threading.current_thread()
+    assert threads[0] | threads[2] == {threading.current_thread()}
 
 
 def test_a_round_spends_every_activation_cache(monkeypatch):

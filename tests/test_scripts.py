@@ -1,6 +1,9 @@
 """Smoke runs of the experiment scripts: each exits 0 and writes what it says."""
 
+import importlib.util
+import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +35,51 @@ def test_compare_aggregators_reports_every_seed():
     assert lines[0].split() == ["seed", "concat", "(naa)", "average", "(haa)", "winner"]
     assert lines[1].split()[0] == "0"
     assert lines[-1].startswith("exact aggregation won ") and lines[-1].endswith("/1 paired seeds")
+
+
+def _module(script):
+    spec = importlib.util.spec_from_file_location(Path(script).stem, REPO / "scripts" / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_appends_one_bench_entry_per_run(tmp_path):
+    """The trajectory writer on a canned comparison: no benchmark runs."""
+    ab = _module("ab_pairs.py")
+    metrics = [{"name": "round_ms", "better": "lower", "bound": 0.25}]
+    pairs = [(10.0, 9.0), (12.0, 11.0), (11.0, 12.0), (13.0, 10.0), (9.0, 9.5)]
+    runs = [tuple({"correct": True, "failed": 0, "metrics": {"round_ms": {"value": v}}} for v in pair)
+            for pair in pairs]
+    ok, table = ab.report("mid", runs, metrics, set())
+    assert ok
+    row = table["round_ms"]
+    for side, values in (("parent", [p for p, _ in pairs]), ("tree", [t for _, t in pairs])):
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        assert row[side] == {"median": med, "q1": q1, "q3": q3}
+    assert row["wins"] == 3 and row["verdict"] == "bound 0.25 ok"
+
+    path = tmp_path / "BENCH_mid.json"
+    entries = [{"commit": "c1", "parent": "p1", "seeds": [1, 2], "metrics": table, "verdict": "pass"},
+               {"commit": "c2", "parent": "c1", "seeds": [3, 4], "metrics": {}, "verdict": "fail"}]
+    for entry in entries:
+        ab.append_bench(path, entry)
+    assert json.loads(path.read_text()) == entries
+
+
+def test_ab_pairs_names_the_commit_it_measured(tmp_path):
+    ab = _module("ab_pairs.py")
+    assert ab.git_commit(tmp_path / "nowhere") is None
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "f").write_text("a")
+    git("add", "f")
+    git("commit", "-q", "-m", "one")
+    sha = git("rev-parse", "HEAD")
+    assert ab.git_commit(tmp_path) == sha
+    (tmp_path / "f").write_text("b")
+    assert ab.git_commit(tmp_path) == sha + "+dirty"
