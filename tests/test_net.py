@@ -504,9 +504,10 @@ def test_a_peer_that_drips_a_frame_ends_within_the_peer_timeout(monkeypatch):
 
 
 def _typed_read_of(frame_head, delay):
-    """``net._recv`` of client 0's ACTIVATIONS on a SHORT session, with a
-    0.5 s peer timeout, while the peer sends only ``frame_head`` after
-    ``delay`` seconds and then stays connected: (error, seconds taken)."""
+    """``net._recv`` of client 0's ACTIVATIONS on a SHORT session, the
+    socket timed out at ``net.PEER_TIMEOUT_S``, while the peer sends only
+    ``frame_head`` after ``delay`` seconds and then stays connected:
+    (error message, seconds taken)."""
     rows, d = SHORT.batch * SHORT.model.seq_len, SHORT.model.d_model
     stop = threading.Event()
     ours, theirs = socket.socketpair()
