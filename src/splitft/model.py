@@ -220,10 +220,9 @@ def _block_backward(
     block: int,
     adapter_grads: AdapterGrads,
     base_grads: BaseGrads,
-    input_grad: bool = True,
 ) -> np.ndarray | None:
     """Fill the block's weight gradients; return the gradient w.r.t. its
-    input, or None when ``input_grad`` is false and nothing needs it."""
+    input, or None for block 0, whose input is the frozen embedding."""
     cfg = params.config
     b, L, d = cache.ln_y.shape[-3:]
     h, dh = cfg.n_heads, cfg.d_head
@@ -246,7 +245,7 @@ def _block_backward(
     qkv = tuple(zip((wq, wk, wv), (_merge_heads(g, b, L, d) for g in (dq, dk, dv))))
     for wid, g2 in qkv:
         _weight_grads(_rows(cache.ln_y), g2, wid, adapters.get(wid), adapter_grads, base_grads)
-    if not input_grad:
+    if block == 0:
         return None
     dxn2 = np.zeros(d_out2.shape)
     for wid, g2 in qkv:
@@ -358,12 +357,8 @@ def backward_client(
     dx = cut_activation_grad.reshape(b, L, d)
     adapter_grads: AdapterGrads = {}
     base_grads: BaseGrads = {}
-    # Block 0's input is the frozen embedding, so its input gradient is skipped.
     for blk in range(client_cache.split.j - 1, -1, -1):
-        dx = _block_backward(
-            params, adapters, dx, client_cache.blocks.pop(blk), blk, adapter_grads, base_grads,
-            input_grad=blk > 0,
-        )
+        dx = _block_backward(params, adapters, dx, client_cache.blocks.pop(blk), blk, adapter_grads, base_grads)
     return adapter_grads, base_grads
 
 

@@ -36,17 +36,20 @@ and returns that round's batch as the targets. ``run_client`` drives the
 in-process ``ClientSim`` from the frames it receives. Every frame, the
 hello included, is read through ``_recv``, which checks its layout: finite
 entries and, where the exchange fixes them, the tag, the matrix shapes and
-the header fields. Where those fix the frame's length (every frame but
-PLAN and the AGG_UPDATE/BARRIER tail of a round), the frame is read as one
-read of that length, and a header that declares another ends the session
-before any payload is read. A bad hello, a frame that does not fit the
-round (that layout; on the client, a split out of range, a PLAN entry off
-the client side or off the rank set, an AGG_UPDATE for a weight the model
-lacks), a server that runs fewer or more rounds than the client's config,
-a peer silent for ``PEER_TIMEOUT_S`` or one whose frame, once it arrives
-in short reads, is not whole within it (one deadline per frame; twice the
-timeout at most for the frames of unfixed length, see
-``wire.read_frame``), or a client that does not connect within it (the
+the header fields. Every frame is read as a frame of one of the lengths the
+exchange allows (``wire.read_frame``): the one its tag and shapes fix, or,
+for the client, a PLAN of 0 to 4·(n_blocks−1) entries and, in a round's
+tail, an AGG_UPDATE of one (d_model, d_model) matrix or a bare BARRIER. A
+bad hello, a frame that does not fit the round (that layout; on the
+server, a negative numerator, a nonzero one off the client side of the
+split, or an upload whose ``n_samples`` is not the shard size; on the
+client, a split out of range, a PLAN entry off the client side or the rank
+set, a PLAN or a tail that names a weight twice, an AGG_UPDATE for a weight
+the model lacks), a server that runs fewer or more rounds than the
+client's config, a header that declares a length the exchange does not
+allow, a frame not whole within ``PEER_TIMEOUT_S`` of its read's start
+(one bound for every frame, whether the peer is silent, drips bytes or
+stalls after a header), or a client that does not connect within it (the
 listening socket has the same timeout) ends the session with
 ``ProtocolError``. Every error ``_recv`` raises names its peer.
 
@@ -87,15 +90,16 @@ def _tune(sock: socket.socket) -> None:
 
 
 def _recv(sock: socket.socket, peer: str, tag: int | None = None, shapes: tuple | list = (),
-          **fields) -> wire.WireMessage:
-    """The next frame from ``peer``, with only finite matrix entries; with
-    ``tag``, it must carry that tag, matrices of exactly ``shapes`` and the
-    header ``fields`` (``client_id=...``, ``round=...``) with those values,
-    and unless it is a PLAN it is read as a frame of exactly that size
-    (``wire.read_frame``). A wire error keeps its class and gains the peer's
+          sizes=None, **fields) -> wire.WireMessage:
+    """The next frame from ``peer``, read as a frame of one of the whole
+    lengths ``sizes`` (by default the one ``wire.frame_size`` gives ``tag``
+    and ``shapes``; see ``wire.read_frame``), with only finite matrix
+    entries; with ``tag``, it must carry that tag, matrices of exactly
+    ``shapes`` and the header ``fields`` (``client_id=...``, ``round=...``)
+    with those values. A wire error keeps its class and gains the peer's
     name."""
     try:
-        msg = wire.decode_message(wire.read_frame(sock, None if tag is None else wire.frame_size(tag, shapes)))
+        msg = wire.decode_message(wire.read_frame(sock, sizes or {wire.frame_size(tag, shapes)}))
     except TimeoutError:
         raise ProtocolError(f"{peer}: no complete frame within {PEER_TIMEOUT_S} s") from None
     except wire.WireError as e:
@@ -120,10 +124,12 @@ class RemoteClient:
     def __init__(self, sock: socket.socket, client_id: int, config: ExperimentConfig):
         self.sock, self.client_id, self.config = sock, client_id, config
         self.shard = make_shard(config, client_id)
-        self.ranks: tuple[tuple[WeightId, int], ...] = ()
+        # The round's split and (weight, rank) pairs, in upload order, as ``forward`` was given them.
+        self.split, self.ranks = None, ()
 
     def forward(self, split: SplitPoint, assignment: dict[WeightId, int], t: int) -> tuple[np.ndarray, np.ndarray]:
-        self.ranks = tuple((wid, assignment[wid]) for wid in sorted(assignment, key=WeightId.sort_key))
+        self.split, self.ranks = split, tuple((wid, assignment[wid])
+                                              for wid in sorted(assignment, key=WeightId.sort_key))
         plan = wire.WireMessage(wire.PLAN, client_id=self.client_id, split_j=split.j, seed=t, ranks=self.ranks)
         _send(self.sock, plan)
         # Activations must have the shape of the targets the server scores them against.
@@ -135,14 +141,18 @@ class RemoteClient:
     def backward(self, cut_grad: np.ndarray, t: int) -> tuple[np.ndarray, list[aggregation.AdapterUpload]]:
         cid, peer, mc = self.client_id, f"client {self.client_id}", self.config.model
         _send(self.sock, wire.WireMessage(wire.CUT_GRAD, client_id=cid, matrices=(cut_grad,)))
-        barrier = _recv(self.sock, peer, wire.BARRIER, [(len(all_weight_ids(mc.n_blocks)), 1)], client_id=cid, round=t)
+        weights = all_weight_ids(mc.n_blocks)
+        numerators = _recv(self.sock, peer, wire.BARRIER, [(len(weights), 1)], client_id=cid, round=t).matrices[0][:, 0]
+        if bad := [str(wid) for wid, n in zip(weights, numerators) if n < 0 or n and not self.split.client_side(wid)]:
+            raise ProtocolError(f"{peer}: round-{t} numerators of {bad} are negative or off the client side "
+                                f"of split {self.split.j}")
         uploads = []
         if t % self.config.agg_period == 0:
             for wid, r in self.ranks:
                 up = _recv(self.sock, peer, wire.ADAPTER_UPLOAD, [(mc.d_model, r), (r, mc.d_model)],
-                           client_id=cid, weight_id=wid)
+                           client_id=cid, weight_id=wid, n_samples=self.config.shard_size)
                 uploads.append(aggregation.AdapterUpload(cid, wid, *up.matrices, up.n_samples))
-        return barrier.matrices[0][:, 0], uploads
+        return numerators, uploads
 
     def finish(self, t: int, loss: float, merged: dict[WeightId, np.ndarray]) -> None:
         for wid, delta in merged.items():
@@ -179,17 +189,22 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
     connected, so a caller that retries a refused connect does not rebuild them."""
     with socket.create_connection((host, port)) as sock:
         sim = ClientSim.build(config, client_id, orchestrator.base_model(config))
-        rows, d = config.batch * config.model.seq_len, config.model.d_model
+        rows, d, n_blocks = config.batch * config.model.seq_len, config.model.d_model, config.model.n_blocks
+        # The lengths of every frame the server may send: a PLAN of at most
+        # the client side's weights at the last split, and a round tail.
+        plan_sizes = {wire.frame_size(wire.PLAN, entries=k) for k in range(len(all_weight_ids(n_blocks - 1)) + 1)}
+        tail_sizes = {wire.frame_size(wire.AGG_UPDATE, [(d, d)]), wire.frame_size(wire.BARRIER)}
         _tune(sock)
         _send(sock, wire.WireMessage(wire.BARRIER, round=0, client_id=client_id))
         for t in range(1, config.total_rounds + 1):
-            plan = _recv(sock, "server", wire.PLAN, client_id=client_id, seed=t)
-            split = SplitPoint(plan.split_j)
+            plan = _recv(sock, "server", wire.PLAN, sizes=plan_sizes, client_id=client_id, seed=t)
+            split, ranks = SplitPoint(plan.split_j), dict(plan.ranks)
             off_plan = [(wid, r) for wid, r in plan.ranks if not split.client_side(wid) or r not in config.rank_set]
-            if not 1 <= split.j < config.model.n_blocks or off_plan:
-                raise ProtocolError(f"server: PLAN at split {split.j} of {config.model.n_blocks} blocks for client "
-                                    f"{client_id}, with entries off the client side or the rank set {off_plan}")
-            acts, _ = sim.forward(split, dict(plan.ranks), t)
+            if not 1 <= split.j < n_blocks or off_plan or len(ranks) < len(plan.ranks):
+                raise ProtocolError(f"server: PLAN at split {split.j} of {n_blocks} blocks for client {client_id}, "
+                                    f"with entries off the client side or the rank set {off_plan}, or a weight "
+                                    f"named twice in {plan.ranks}")
+            acts, _ = sim.forward(split, ranks, t)
             _send(sock, wire.WireMessage(wire.ACTIVATIONS, client_id=client_id, n_samples=config.batch,
                                          matrices=(acts.reshape(-1, acts.shape[-1]),)))
             cut_grad = _recv(sock, "server", wire.CUT_GRAD, [(rows, d)], client_id=client_id).matrices[0]
@@ -200,11 +215,11 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
                                              n_samples=up.n_samples, matrices=(up.B, up.A)))
 
             merged = {}
-            while (tail := _recv(sock, "server")).tag == wire.AGG_UPDATE:
+            while (tail := _recv(sock, "server", sizes=tail_sizes)).tag == wire.AGG_UPDATE:
                 delta = tail.matrices[0]
-                if tail.weight_id not in sim.params.attn or delta.shape != (d, d):
+                if tail.weight_id not in sim.params.attn or tail.weight_id in merged or delta.shape != (d, d):
                     raise ProtocolError(f"server: AGG_UPDATE of {tail.weight_id} {delta.shape} to client {client_id}, "
-                                        f"expected a model weight ({d}, {d})")
+                                        f"expected a model weight not yet merged this round ({d}, {d})")
                 merged[tail.weight_id] = delta
                 sim.params.attn[tail.weight_id] = model.merge_update(sim.params.attn[tail.weight_id], delta)
             if (tail.tag, tail.round, tail.client_id) != (wire.BARRIER, t, client_id):

@@ -179,51 +179,42 @@ def decode_message(data: bytes) -> WireMessage:
     return WireMessage(tag, **kw)
 
 
-def frame_size(tag: int, shapes) -> int | None:
+def frame_size(tag: int, shapes=(), entries: int = 0) -> int:
     """The byte length of a whole frame of ``tag`` whose matrices have
-    ``shapes``; None for a PLAN, as the shapes do not count its entries."""
-    header, fields, _ = _LAYOUT[tag]
-    if "ranks" in fields:
-        return None
-    return _FRAME.size + header.size + sum(_DIMS.size + 4 * rows * cols for rows, cols in shapes)
+    ``shapes``; a PLAN's also counts its ``entries`` rank entries."""
+    return (_FRAME.size + _LAYOUT[tag][0].size + _ENTRY.size * entries
+            + sum(_DIMS.size + 4 * rows * cols for rows, cols in shapes))
 
 
-def read_frame(sock, size: int | None = None) -> bytes:
-    """Read one complete frame from a socket. A socket timeout bounds the
-    frame, not each recv: after a recv that returns less than it asked for,
-    the next waits only for what is left of the timeout since the frame's
-    read began, so a peer that drips bytes cannot stretch the wait; past it,
-    ``TimeoutError``. A recv that returns all it asked for changes no
-    timeout, and the socket's own timeout is restored afterwards.
-
-    With ``size`` (see ``frame_size``) the first recv asks for the whole
-    frame, so the frame takes at most one timeout and ``size`` bytes, and a
-    header that declares another length raises ``ProtocolError`` before
-    more is read. Without it the header and the payload are asked for in
-    turn: a header that arrives whole leaves the payload's first recv a
-    whole timeout, so such a frame may take up to twice the timeout and
-    ``MAX_FRAME`` payload bytes."""
+def read_frame(sock, sizes) -> bytes:
+    """Read one complete frame from a socket, whose whole length must be
+    one of ``sizes`` (each a ``frame_size``). The first recv asks for the
+    shortest; a header that declares a length outside ``sizes`` raises
+    ``ProtocolError`` before more is read. The socket's timeout bounds the
+    frame, not each recv: any recv that leaves the frame incomplete lowers
+    the timeout to what is left since the frame's read began, so a frame
+    takes at most one timeout and at most ``max(sizes)`` bytes; past the
+    timeout, ``TimeoutError``. A frame that arrives whole in one recv
+    changes no timeout, and the socket's own timeout is restored
+    afterwards."""
     timeout = sock.gettimeout()
     deadline = time.monotonic() + timeout if timeout else None
-    chunks, got, length = [], 0, None
-    want = size or _FRAME.size  # the header, once read, fixes the rest
+    # Until the header fixes the frame's length, the shortest it may have.
+    chunks, got, length, want = [], 0, None, min(sizes)
     try:
         while got < want:
-            ask = want - got
-            chunk = sock.recv(ask)
+            chunk = sock.recv(want - got)
             if not chunk:
-                raise TruncatedError(f"connection closed with {ask} bytes outstanding")
+                raise TruncatedError(f"connection closed with {want - got} bytes outstanding")
             chunks.append(chunk)
             got += len(chunk)
             if length is None and got >= _FRAME.size:
                 length, tag = _FRAME.unpack_from(b"".join(chunks))
-                if length > MAX_FRAME:
-                    raise WireError(f"frame length {length} exceeds limit")
-                if size is not None and _FRAME.size + length != size:
+                if _FRAME.size + length not in sizes:
                     raise ProtocolError(f"a tag-{tag} frame declares {length} payload bytes, "
-                                        f"expected {size - _FRAME.size}")
+                                        f"expected {sorted(s - _FRAME.size for s in sizes)}")
                 want = _FRAME.size + length
-            if got < want and len(chunk) < ask and deadline is not None:
+            if got < want and deadline is not None:
                 left = deadline - time.monotonic()
                 if left <= 0:
                     raise TimeoutError("frame deadline passed")

@@ -114,6 +114,51 @@ def _connect(port, deadline):
             time.sleep(0.001)
 
 
+def _recv_exactly(sock, n):
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        if not chunk:
+            raise wire.TruncatedError(f"connection closed with {n - len(data)} bytes outstanding")
+        data += chunk
+    return data
+
+
+def _read_any(sock):
+    """A fake peer's read of the next frame, whatever its length: the
+    5-byte header, then the payload it declares."""
+    head = _recv_exactly(sock, 5)
+    return head + _recv_exactly(sock, struct.unpack_from("<I", head)[0])
+
+
+def _scripted_server(script):
+    """A listening socket and a thread that plays ``script`` to the one
+    client that connects, then stays connected until the client hangs up.
+    Each step is (the tag of the frame to read first, replies to send after
+    it); a reply is a ``WireMessage``, raw bytes, or a float: a pause, whose
+    start ``marks["pause"]`` records. Returns (socket, thread, marks)."""
+    srv = socket.create_server((HOST, 0))
+    marks = {}
+
+    def server():
+        with srv.accept()[0] as conn:
+            conn.settimeout(10)
+            try:
+                for tag, replies in script:
+                    assert wire.decode_message(_read_any(conn)).tag == tag
+                    for reply in replies:
+                        if isinstance(reply, float):
+                            marks["pause"] = time.perf_counter()
+                            time.sleep(reply)
+                        else:
+                            conn.sendall(reply if isinstance(reply, bytes) else wire.encode_message(reply))
+                conn.recv(1)  # returns once the client hangs up
+            except (OSError, wire.WireError):
+                pass  # the client hung up on a frame it rejected
+
+    return srv, threading.Thread(target=server, daemon=True), marks
+
+
 def test_both_ends_set_tcp_nodelay(monkeypatch):
     read_frame = wire.read_frame
     nodelay = {}  # (thread name, socket) -> TCP_NODELAY as read before each frame
@@ -257,7 +302,9 @@ def test_server_and_clients_hold_identical_base_weights(monkeypatch):
 
 @pytest.mark.parametrize("bad", [None, "activations-client-id", "barrier-round", "upload-rank",
                                  "activations-nan", "barrier-inf", "upload-nan",
-                                 "activations-width", "upload-width", "barrier-rows", "upload-weight"])
+                                 "activations-width", "upload-width", "barrier-rows", "upload-weight",
+                                 "barrier-negative", "barrier-server-side", "upload-no-samples",
+                                 "upload-samples-2^63"])
 def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
     cfg, t, cid = SHORT, 2, 1  # round 2 aggregates
     d, rows = cfg.model.d_model, cfg.batch * cfg.model.seq_len
@@ -274,13 +321,18 @@ def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
             m[-1, -1] = np.inf if bad.endswith("inf") else np.nan
         return m
 
+    numerators = matrix((n_weights, 1), 0.0, "barrier-inf")
+    numerators[0, 0] = -1.0 if bad == "barrier-negative" else 0.5  # b0.Q is on the client side of split 1
+    if bad == "barrier-server-side":
+        numerators[-1, 0] = 5.0  # the last block's O is on the server side
+    n_samples = {"upload-no-samples": 0, "upload-samples-2^63": 2**63}.get(bad, cfg.shard_size)
+
     frames = [
         wire.WireMessage(wire.ACTIVATIONS, client_id=0 if bad == "activations-client-id" else cid,
                          n_samples=cfg.batch,
                          matrices=(matrix((rows, d // (1 + (bad == "activations-width"))), 1.0, "activations-nan"),)),
-        wire.WireMessage(wire.BARRIER, round=t + (bad == "barrier-round"), client_id=cid,
-                         matrices=(matrix((n_weights, 1), 0.0, "barrier-inf"),)),
-        *(wire.WireMessage(wire.ADAPTER_UPLOAD, client_id=cid, weight_id=wid, n_samples=cfg.shard_size,
+        wire.WireMessage(wire.BARRIER, round=t + (bad == "barrier-round"), client_id=cid, matrices=(numerators,)),
+        *(wire.WireMessage(wire.ADAPTER_UPLOAD, client_id=cid, weight_id=wid, n_samples=n_samples,
                            matrices=(np.ones((d // (1 + (bad == "upload-width")), r)), matrix((r, d), 1.0, "upload-nan")))
           for wid, r in sorted(uploaded.items(), key=lambda item: WeightId.sort_key(item[0]))),
     ]
@@ -295,11 +347,11 @@ def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
             return end.backward(np.ones((rows, d)), t)
 
         if bad is None:
-            numerators, uploads = round_trip()
+            got, uploads = round_trip()
             assert [(u.weight_id, u.rank) for u in uploads] == list(end.ranks)
-            assert np.array_equal(numerators, np.zeros(n_weights))
+            assert np.array_equal(got, numerators[:, 0])
         else:
-            with pytest.raises(net.ProtocolError):
+            with pytest.raises(net.ProtocolError, match=f"^client {cid}: "):
                 round_trip()
 
 
@@ -356,7 +408,7 @@ def test_serve_ends_with_a_named_error_when_a_peer_misbehaves(fault, error):
     with _connect(port, deadline) as sock:
         sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=0)))
         threads[1].start()
-        plan = wire.decode_message(wire.read_frame(sock))
+        plan = wire.decode_message(_read_any(sock))
         assert (plan.tag, plan.client_id) == (wire.PLAN, 0)
         acts = np.full((rows, d // 2 if fault == "narrow-activations" else d),
                        np.nan if fault == "nan-activations" else 0.5)
@@ -377,7 +429,8 @@ def test_serve_ends_with_a_named_error_when_a_peer_misbehaves(fault, error):
 
 @pytest.mark.parametrize("bad", [None, "agg-update-nan", "agg-update-unknown-block", "cut-grad-shape",
                                  "plan-server-side", "plan-rank", "plan-split",
-                                 "plan-next-round", "shutdown-early", "plan-past-last-round"])
+                                 "plan-next-round", "shutdown-early", "plan-past-last-round",
+                                 "plan-weight-twice", "agg-update-weight-twice"])
 def test_run_client_rejects_server_frames_that_do_not_fit_the_round(bad, monkeypatch):
     """A scripted server plays round 1 (which does not aggregate) to a real
     client 0, sends one AGG_UPDATE anyway, then shuts the session down; the
@@ -391,17 +444,20 @@ def test_run_client_rejects_server_frames_that_do_not_fit_the_round(bad, monkeyp
     ranks = ((WeightId(0, "Q"), 3 if bad == "plan-rank" else 4),)
     if bad == "plan-server-side":
         ranks += ((WeightId(j, "Q"), 4),)
+    if bad == "plan-weight-twice":
+        ranks += ranks
     update = np.full((d, d), 1e-3)
     if bad == "agg-update-nan":
         update[0, 0] = np.nan
+    agg_update = wire.WireMessage(wire.AGG_UPDATE, matrices=(update,), weight_id=WeightId(
+        cfg.model.n_blocks if bad == "agg-update-unknown-block" else 0, "K"))
     script = [  # (frame to read first, or None; frames to send after it)
         (wire.BARRIER, [wire.WireMessage(wire.PLAN, client_id=0, split_j=j, seed=1 + (bad == "plan-next-round"),
                                          ranks=ranks)]),
         (wire.ACTIVATIONS, [wire.WireMessage(wire.CUT_GRAD, client_id=0, matrices=(
             np.full((rows, d // 2 if bad == "cut-grad-shape" else d), 1e-3),))]),
         (wire.BARRIER, [
-            wire.WireMessage(wire.AGG_UPDATE, weight_id=WeightId(cfg.model.n_blocks if bad == "agg-update-unknown-block"
-                                                                 else 0, "K"), matrices=(update,)),
+            *[agg_update] * (1 + (bad == "agg-update-weight-twice")),
             wire.WireMessage(wire.BARRIER, round=1, client_id=0, loss=1.0),
             wire.WireMessage(wire.PLAN, client_id=0, split_j=1, seed=2, ranks=ranks) if bad == "plan-past-last-round"
             else wire.WireMessage(wire.BARRIER, round=net.SHUTDOWN_ROUND, client_id=0),
@@ -410,31 +466,63 @@ def test_run_client_rejects_server_frames_that_do_not_fit_the_round(bad, monkeyp
     built = []
     build_model = model.build_model
     monkeypatch.setattr(model, "build_model", lambda *a: built.append(build_model(*a)) or built[-1])
-    with socket.create_server((HOST, 0)) as srv:
-        port = srv.getsockname()[1]
-
-        def server():
-            with srv.accept()[0] as conn:
-                conn.settimeout(10)
-                try:
-                    for tag, replies in script:
-                        assert wire.decode_message(wire.read_frame(conn)).tag == tag
-                        for msg in replies:
-                            conn.sendall(wire.encode_message(msg))
-                except (OSError, wire.WireError):
-                    pass  # the client hung up on a frame it rejected
-
-        th = threading.Thread(target=server, daemon=True)
+    srv, th, _ = _scripted_server(script)
+    with srv:
         th.start()
         if bad is None:
-            assert net.run_client(cfg, 0, HOST, port) == 1
+            assert net.run_client(cfg, 0, HOST, srv.getsockname()[1]) == 1
         else:
             with pytest.raises(net.ProtocolError, match="^server: "):
-                net.run_client(cfg, 0, HOST, port)
+                net.run_client(cfg, 0, HOST, srv.getsockname()[1])
         th.join(timeout=10)
         assert not th.is_alive()
     for W in built[0].attn.values():
         assert np.isfinite(W).all()
+
+
+def _client_against_a_stalling_server(where, head):
+    """``run_client`` on a one-round SHORT session, the peer timeout 0.5 s,
+    against a server that sends only ``head`` at its next frame: the round's
+    PLAN (``where`` "plan") or the first frame of its tail ("tail"). Returns
+    the client's error message and the seconds from the server's read of
+    the client's frame before it to the error."""
+    rows, d = SHORT.batch * SHORT.model.seq_len, SHORT.model.d_model
+    plan = wire.WireMessage(wire.PLAN, client_id=0, split_j=1, seed=1, ranks=((WeightId(0, "Q"), 4),))
+    script = [(wire.BARRIER, head if where == "plan" else [plan])]
+    if where == "tail":
+        script += [(wire.ACTIVATIONS, [wire.WireMessage(wire.CUT_GRAD, client_id=0, matrices=(np.zeros((rows, d)),))]),
+                   (wire.BARRIER, head)]
+    srv, th, marks = _scripted_server(script)
+    with srv:
+        th.start()
+        with pytest.raises(net.ProtocolError) as caught:
+            net.run_client(replace(SHORT, total_rounds=1), 0, HOST, srv.getsockname()[1])
+        elapsed = time.perf_counter() - marks["pause"]
+        th.join(timeout=10)
+        assert not th.is_alive()
+    return str(caught.value), elapsed
+
+
+@pytest.mark.parametrize("where, tag", [("plan", wire.PLAN), ("tail", wire.BARRIER)])
+def test_a_server_frame_whose_payload_stalls_ends_at_the_peer_timeout(where, tag, monkeypatch):
+    """A whole, well-sized header just before the 0.5 s timeout and then no
+    payload: the client's read ends at the timeout, allowing 0.2 s of slack
+    for thread start-up and scheduling."""
+    monkeypatch.setattr(net, "PEER_TIMEOUT_S", 0.5)
+    frame = wire.encode_message(
+        wire.WireMessage(wire.PLAN, client_id=0, split_j=1, seed=1, ranks=((WeightId(0, "Q"), 4),)) if tag == wire.PLAN
+        else wire.WireMessage(wire.BARRIER, round=1, client_id=0, loss=1.0))
+    error, elapsed = _client_against_a_stalling_server(where, [0.45, frame[:5]])
+    assert error == "server: no complete frame within 0.5 s"
+    assert elapsed < 0.5 + 0.2
+
+
+@pytest.mark.parametrize("where, tag", [("plan", wire.PLAN), ("tail", wire.AGG_UPDATE)])
+def test_a_server_frame_that_declares_1_gib_is_refused_at_its_header(where, tag, monkeypatch):
+    monkeypatch.setattr(net, "PEER_TIMEOUT_S", 0.5)
+    error, elapsed = _client_against_a_stalling_server(where, [0.0, struct.pack("<IB", wire.MAX_FRAME, tag)])
+    assert error.startswith(f"server: a tag-{tag} frame declares {wire.MAX_FRAME} payload bytes")
+    assert elapsed < 0.2
 
 
 def test_a_silent_peer_ends_the_session_within_the_peer_timeout(monkeypatch):
@@ -464,7 +552,7 @@ def test_a_silent_peer_ends_the_session_within_the_peer_timeout(monkeypatch):
     with _connect(port, time.perf_counter() + 10.0) as sock:
         sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=0)))
         threads[1].start()
-        plan = wire.decode_message(wire.read_frame(sock))
+        plan = wire.decode_message(_read_any(sock))
         assert (plan.tag, plan.client_id) == (wire.PLAN, 0)
         for th in threads:  # client 0 stays connected throughout
             th.join(timeout=10)
@@ -495,7 +583,7 @@ def test_a_peer_that_drips_a_frame_ends_within_the_peer_timeout(monkeypatch):
         start = time.perf_counter()
         th.start()
         with pytest.raises(net.ProtocolError, match="^client 0: no complete frame within 0.5 s"):
-            net._recv(ours, "client 0")
+            net._recv(ours, "client 0", wire.BARRIER, round=0)
         elapsed = time.perf_counter() - start
         assert ours.gettimeout() == net.PEER_TIMEOUT_S  # restored after the frame
         stop.set()

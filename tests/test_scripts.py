@@ -3,10 +3,13 @@
 import importlib.util
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from splitft import metrics
 
@@ -83,3 +86,21 @@ def test_ab_pairs_names_the_commit_it_measured(tmp_path):
     assert ab.git_commit(tmp_path) == sha
     (tmp_path / "f").write_text("b")
     assert ab.git_commit(tmp_path) == sha + "+dirty"
+
+
+@pytest.mark.parametrize("workload", ["mid", "net-desk"])
+def test_every_bench_entry_names_its_commit_and_metrics(workload):
+    """Entries that ``ab_pairs.py`` appended and those back-filled from the
+    CHANGES.md tables alike name a commit and give each metric's median
+    and quartiles on both sides; the back-filled ones come first."""
+    entries = json.loads((REPO / f"BENCH_{workload}.json").read_text())
+    names = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+    assert entries
+    for entry in entries:
+        assert re.fullmatch(r"[0-9a-f]{40}(\+dirty)?", entry["commit"]), entry["commit"]
+        assert entry["metrics"] and set(entry["metrics"]) <= names, entry["commit"]
+        for figures in entry["metrics"].values():
+            for side in ("parent", "tree"):
+                assert figures[side]["q1"] <= figures[side]["median"] <= figures[side]["q3"], entry["commit"]
+    backfilled = [entry.get("backfilled", False) for entry in entries]
+    assert backfilled == sorted(backfilled, reverse=True)

@@ -1,5 +1,7 @@
 import hashlib
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -160,9 +162,63 @@ def test_read_frame_from_socket_pair():
     a, b = socket.socketpair()
     msg = wire.WireMessage(wire.BARRIER, round=3, client_id=0, loss=1.0)
     a.sendall(wire.encode_message(msg))
-    got = wire.decode_message(wire.read_frame(b))
+    got = wire.decode_message(wire.read_frame(b, {wire.frame_size(wire.BARRIER)}))
     assert got == msg
     a.close()
     with pytest.raises(wire.TruncatedError):
-        wire.read_frame(b)
+        wire.read_frame(b, {wire.frame_size(wire.BARRIER)})
     b.close()
+
+
+def test_frame_size_is_the_encoded_length_for_every_tag():
+    rng = np.random.default_rng(2)
+    for msg in _sample_messages(rng):
+        shapes = [m.shape for m in msg.matrices]
+        assert wire.frame_size(msg.tag, shapes, len(msg.ranks)) == len(wire.encode_message(msg))
+
+
+@settings(deadline=None, max_examples=60)
+@given(rows=st.integers(1, 40), cuts=st.lists(st.integers(1, 200), max_size=5),
+       other_sizes=st.sets(st.integers(5, 400), max_size=4), fault=st.sampled_from([None, "truncated", "length"]),
+       keep=st.floats(0.0, 1.0))
+def test_read_frame_returns_the_frame_or_a_wire_error_and_reads_no_further(rows, cuts, other_sizes, fault, keep):
+    """A BARRIER with a ``rows`` x 1 matrix sent in chunks ``cuts`` bytes
+    apart, one ms between them; "truncated" closes the connection after a
+    ``keep`` share of it, and "length" leaves its length out of ``sizes``.
+    The read returns the frame, or the fault's error; it never consumes
+    the BARRIER queued behind a frame it returns, and restores the
+    socket's timeout."""
+    import socket
+
+    frame = wire.encode_message(wire.WireMessage(wire.BARRIER, round=1, client_id=2, loss=0.5,
+                                                 matrices=(np.ones((rows, 1)),)))
+    nxt = wire.encode_message(wire.WireMessage(wire.BARRIER, round=2, client_id=2))
+    sizes = (other_sizes - {len(frame)} or {len(frame) + 4}) if fault == "length" else other_sizes | {len(frame)}
+    sent = frame[:int(keep * (len(frame) - 1))] if fault == "truncated" else frame
+    bounds = sorted({0, len(sent), *(c for c in np.cumsum(cuts) if c < len(sent))})
+    ours, theirs = socket.socketpair()
+
+    def peer():
+        for lo, hi in zip(bounds, bounds[1:]):
+            theirs.sendall(sent[lo:hi])
+            time.sleep(0.001)
+        if fault == "truncated":
+            theirs.shutdown(socket.SHUT_WR)
+        else:
+            theirs.sendall(nxt)
+
+    with ours, theirs:
+        ours.settimeout(5.0)
+        th = threading.Thread(target=peer, daemon=True)
+        th.start()
+        if fault == "length":
+            with pytest.raises(wire.ProtocolError, match=f"declares {len(frame) - 5} payload bytes"):
+                wire.read_frame(ours, sizes)
+        elif fault == "truncated":
+            with pytest.raises(wire.TruncatedError):
+                wire.read_frame(ours, sizes)
+        else:
+            assert wire.read_frame(ours, sizes) == frame
+            assert wire.read_frame(ours, {len(nxt)}) == nxt
+        assert ours.gettimeout() == 5.0
+        th.join(timeout=5)
