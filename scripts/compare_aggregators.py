@@ -13,28 +13,17 @@ Usage:
 import argparse
 from dataclasses import replace
 
-from splitft.config import BudgetSpec, ExperimentConfig
-from splitft.model import ModelConfig
+from splitft.config import ExperimentConfig
 from splitft.orchestrator import run_experiment
+
+from run_desk_experiment import desk_config
 
 
 def make_config(seed: int, rounds: int, rank: int, lr: float, aggregator: str) -> ExperimentConfig:
-    base = 2 * 16 * 32
-    adapter = 3 * rank * 64
-    budget = BudgetSpec("fixed", value=base + 4 * adapter + 1)
-    return replace(
-        ExperimentConfig(),
-        model=ModelConfig(n_blocks=2, d_model=32, n_heads=4, vocab_size=16, seq_len=16),
-        n_clients=3,
-        total_rounds=rounds,
-        agg_period=10,
-        rank_set=(rank,),
-        learning_rate=lr,
-        seed=seed,
-        aggregator=aggregator,
-        client_budget=budget,
-        server_budget=budget,
-    ).validate()
+    """``run_desk_experiment``'s config with ``aggregator``, each client's
+    budget fixed at the server's."""
+    cfg = desk_config(seed, rounds, rank, lr)
+    return replace(cfg, aggregator=aggregator, client_budget=cfg.server_budget).validate()
 
 
 def main() -> int:

@@ -107,6 +107,12 @@ class ExperimentConfig:
             raise ConfigError(errs)
         return self
 
+    def aggregates(self, t: int) -> bool:
+        """Whether round t ends with the fed server's merge: every
+        ``agg_period``-th round. Every copy of the base merges on exactly
+        these rounds, so every side asks this."""
+        return t % self.agg_period == 0
+
     def cost_model(self) -> CostModel:
         return CostModel(
             d_model=self.model.d_model,

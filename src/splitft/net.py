@@ -16,21 +16,22 @@ Per round t, per client:
   server -> CUT_GRAD    (gradient at the cut)
   client -> BARRIER     (importance numerators as one (n_weights, 1) column
                          in ``all_weight_ids`` order, 0.0 off the client side)
-  client -> ADAPTER_UPLOAD x n   (aggregation rounds only, t % K == 0)
+  client -> ADAPTER_UPLOAD x n   (aggregation rounds only, where
+                                  ``ExperimentConfig.aggregates(t)`` holds)
 then, after every client has finished the round:
   server -> AGG_UPDATE x m + BARRIER   (aggregation rounds)
   server -> BARRIER                    (other rounds; loss field = client loss)
 
 A client counts its own rounds, 1 to its config's ``total_rounds``, and
 after the last one expects the final BARRIER, with round ==
-SHUTDOWN_ROUND, that ends the session. Matrices
-travel as float32, so both sides merge the float32-rounded aggregation
-delta (the server re-rounds its own copy through the codec) to keep the
-two copies of the base weights bit-identical.
+SHUTDOWN_ROUND, that ends the session. Matrices travel as float32, so the
+server merges into its own copy of the base the delta as its clients
+receive it (``wire.as_received``, the codec's rounding), keeping every
+copy of the base weights bit-identical.
 
 ``serve`` runs the one session loop, ``orchestrator.run_session``, over a
 ``RemoteClient`` end per socket, whose calls are the exchanges above, and
-float32 rounding as its delta hook; ``serve`` builds its state only once
+``wire.as_received`` as its delta hook; ``serve`` builds its state only once
 every client has connected. A ``RemoteClient`` holds its client's shard
 and returns that round's batch as the targets. ``run_client`` drives the
 in-process ``ClientSim`` from the frames it receives. Every frame, the
@@ -44,8 +45,10 @@ bad hello, a frame that does not fit the round (that layout; on the
 server, a negative numerator, a nonzero one off the client side of the
 split, or an upload whose ``n_samples`` is not the shard size; on the
 client, a split out of range, a PLAN entry off the client side or the rank
-set, a PLAN or a tail that names a weight twice, an AGG_UPDATE for a weight
-the model lacks), a server that runs fewer or more rounds than the
+set, a PLAN or a tail that names a weight twice, an AGG_UPDATE on a round
+that does not aggregate or for a weight off the client side of the round's
+split, a merge round's tail that leaves a weight the client uploaded
+unmerged), a server that runs fewer or more rounds than the
 client's config, a header that declares a length the exchange does not
 allow, a frame not whole within ``PEER_TIMEOUT_S`` of its read's start
 (one bound for every frame, whether the peer is silent, drips bytes or
@@ -113,10 +116,6 @@ def _recv(sock: socket.socket, peer: str, tag: int | None = None, shapes: tuple 
     return msg
 
 
-def _round_f32(m: np.ndarray) -> np.ndarray:
-    return m.astype(np.float32).astype(np.float64)
-
-
 class RemoteClient:
     """The engine's client end for one connected socket. It holds its
     client's shard, as the copy task's targets do not travel."""
@@ -147,11 +146,10 @@ class RemoteClient:
             raise ProtocolError(f"{peer}: round-{t} numerators of {bad} are negative or off the client side "
                                 f"of split {self.split.j}")
         uploads = []
-        if t % self.config.agg_period == 0:
-            for wid, r in self.ranks:
-                up = _recv(self.sock, peer, wire.ADAPTER_UPLOAD, [(mc.d_model, r), (r, mc.d_model)],
-                           client_id=cid, weight_id=wid, n_samples=self.config.shard_size)
-                uploads.append(aggregation.AdapterUpload(cid, wid, *up.matrices, up.n_samples))
+        for wid, r in self.ranks if self.config.aggregates(t) else ():
+            up = _recv(self.sock, peer, wire.ADAPTER_UPLOAD, [(mc.d_model, r), (r, mc.d_model)],
+                       client_id=cid, weight_id=wid, n_samples=self.config.shard_size)
+            uploads.append(aggregation.AdapterUpload(cid, wid, *up.matrices, up.n_samples))
         return numerators, uploads
 
     def finish(self, t: int, loss: float, merged: dict[WeightId, np.ndarray]) -> None:
@@ -177,7 +175,7 @@ def serve(config: ExperimentConfig, host: str, port: int) -> tuple[list[RoundRep
                 raise ProtocolError(f"bad hello from client {cid}, connected: {sorted(ends)}")
             ends[cid] = RemoteClient(conn, cid, config)
         state = init_state(config, [ends[cid] for cid in range(config.n_clients)])
-        result = orchestrator.run_session(state, _round_f32)
+        result = orchestrator.run_session(state, wire.as_received)
         for end in state.clients:
             _send(end.sock, wire.WireMessage(wire.BARRIER, round=SHUTDOWN_ROUND, client_id=end.client_id))
     return result
@@ -214,17 +212,22 @@ def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -
                 _send(sock, wire.WireMessage(wire.ADAPTER_UPLOAD, client_id=client_id, weight_id=up.weight_id,
                                              n_samples=up.n_samples, matrices=(up.B, up.A)))
 
-            merged = {}
+            merged, merges = {}, config.aggregates(t)
             while (tail := _recv(sock, "server", sizes=tail_sizes)).tag == wire.AGG_UPDATE:
                 delta = tail.matrices[0]
-                if tail.weight_id not in sim.params.attn or tail.weight_id in merged or delta.shape != (d, d):
-                    raise ProtocolError(f"server: AGG_UPDATE of {tail.weight_id} {delta.shape} to client {client_id}, "
-                                        f"expected a model weight not yet merged this round ({d}, {d})")
+                if (not merges or not split.client_side(tail.weight_id) or tail.weight_id in merged
+                        or delta.shape != (d, d)):
+                    raise ProtocolError(f"server: AGG_UPDATE of {tail.weight_id} {delta.shape} to client {client_id} "
+                                        f"in round {t}, expected on a merge round a weight on the client side of "
+                                        f"split {split.j} not yet merged this round ({d}, {d})")
                 merged[tail.weight_id] = delta
                 sim.params.attn[tail.weight_id] = model.merge_update(sim.params.attn[tail.weight_id], delta)
-            if (tail.tag, tail.round, tail.client_id) != (wire.BARRIER, t, client_id):
+            if ((tail.tag, tail.round, tail.client_id) != (wire.BARRIER, t, client_id)
+                    or not merged.keys() >= {up.weight_id for up in uploads}):
                 raise ProtocolError(f"server: expected AGG_UPDATE or the round-{t} BARRIER for client {client_id}, "
-                                    f"got tag {tail.tag} (round {tail.round}, client {tail.client_id})")
+                                    f"got tag {tail.tag} (round {tail.round}, client {tail.client_id}) with the "
+                                    f"uploaded {sorted(str(up.weight_id) for up in uploads)} merged only for "
+                                    f"{sorted(map(str, merged))}")
             sim.finish(t, tail.loss, merged)
         _recv(sock, "server", wire.BARRIER, client_id=client_id, round=SHUTDOWN_ROUND)
         return config.total_rounds

@@ -152,10 +152,8 @@ class ClientSim:
             ad = self.adapters[wid]
             ad.B = ad.B - cfg.learning_rate * dB
             ad.A = ad.A - cfg.learning_rate * dA
-        uploads = []
-        if t % cfg.agg_period == 0:
-            uploads = [aggregation.AdapterUpload(self.client_id, wid, ad.B, ad.A, cfg.shard_size)
-                       for wid, ad in self.adapters.items()]
+        uploads = [aggregation.AdapterUpload(self.client_id, wid, ad.B, ad.A, cfg.shard_size)
+                   for wid, ad in self.adapters.items()] if cfg.aggregates(t) else []
         return _numerators(self.params, base_grads), uploads
 
     def finish(self, t: int, loss: float, merged: dict[WeightId, np.ndarray]) -> None:
@@ -442,7 +440,7 @@ def run_round(state: ExperimentState, t: int, round_delta=None) -> RoundReport:
     state.last_numerators = dict(zip(all_weight_ids(config.model.n_blocks), numerators.tolist()))
 
     # (3) periodic fed-server aggregation of client-side adapters
-    aggregated = t % config.agg_period == 0
+    aggregated = config.aggregates(t)
     merged = aggregation.aggregate(uploads, config.aggregator, config.agg_mode) if aggregated else {}
     for wid, delta in merged.items():
         if round_delta is not None:

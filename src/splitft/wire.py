@@ -3,6 +3,8 @@
 Framing: [u32 LE payload length][u8 type tag][payload]. Matrices travel as
 [u32 LE rows][u32 LE cols][rows*cols float32 LE, row-major]; in-memory
 values are float64, so the wire is lossy beyond float32 precision.
+``as_received`` is that loss: the float64 matrix a peer decodes from one
+it is sent, for a sender that must hold the same values as its peer.
 Decoding never raises anything but WireError subclasses on malformed
 input.
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +32,8 @@ PLAN = 5
 BARRIER = 6
 
 MAX_FRAME = 1 << 30
+# The one type of every matrix entry on the wire.
+_F32 = np.dtype("<f4")
 
 
 class WireError(ValueError):
@@ -37,14 +41,6 @@ class WireError(ValueError):
 
 
 class TruncatedError(WireError):
-    pass
-
-
-class UnknownTagError(WireError):
-    pass
-
-
-class LengthMismatchError(WireError):
     pass
 
 
@@ -69,15 +65,14 @@ class WireMessage:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WireMessage):
             return NotImplemented
-        if (self.tag, self.client_id, self.round, self.n_samples, self.weight_id,
-                self.loss, self.split_j, self.seed, self.ranks) != (
-                other.tag, other.client_id, other.round, other.n_samples, other.weight_id,
-                other.loss, other.split_j, other.seed, other.ranks):
-            return False
-        return len(self.matrices) == len(other.matrices) and all(
-            a.shape == b.shape and np.array_equal(a, b)
-            for a, b in zip(self.matrices, other.matrices)
-        )
+        return all(_same(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _same(a, b) -> bool:
+    # Tuples match item by item, matrices by shape and entries, any other value by ==.
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return a.shape == b.shape and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
 # The one declaration of every frame's payload: the fixed header's Struct,
@@ -122,19 +117,24 @@ class _Reader:
 
     def matrix(self) -> np.ndarray:
         rows, cols = self.unpack(_DIMS)
-        if rows == 0 or cols == 0 or rows * cols > (MAX_FRAME // 4):
+        if rows == 0 or cols == 0 or rows * cols > (MAX_FRAME // _F32.itemsize):
             raise WireError(f"bad matrix dims {rows}x{cols}")
-        raw = self.take(rows * cols * 4)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, cols)
+        raw = self.take(rows * cols * _F32.itemsize)
+        return as_received(np.frombuffer(raw, dtype=_F32)).reshape(rows, cols)
+
+
+# The float64 matrix a peer decodes from ``m``, bit for bit: each entry rounded to the wire's float32.
+def as_received(m: np.ndarray) -> np.ndarray:
+    return np.asarray(m, dtype=_F32).astype(np.float64)
 
 
 def encode_message(m: WireMessage) -> bytes:
     try:
-        header, fields, _ = _LAYOUT[m.tag]
+        header, names, _ = _LAYOUT[m.tag]
     except KeyError:
-        raise UnknownTagError(f"unknown message tag {m.tag}") from None
+        raise WireError(f"unknown message tag {m.tag}") from None
     values = []
-    for f in fields:
+    for f in names:
         if f == "block":
             values += (m.weight_id.block, KIND_ORDER[m.weight_id.kind])
         elif f in ("ranks", "matrices"):
@@ -145,7 +145,7 @@ def encode_message(m: WireMessage) -> bytes:
     for wid, r in m.ranks:
         parts.append(_ENTRY.pack(wid.block, KIND_ORDER[wid.kind], r))
     for mat in m.matrices:
-        parts += (_DIMS.pack(*mat.shape), np.ascontiguousarray(mat, dtype="<f4").tobytes())
+        parts += (_DIMS.pack(*mat.shape), np.ascontiguousarray(mat, dtype=_F32).tobytes())
     payload = b"".join(parts)
     return _FRAME.pack(len(payload), m.tag) + payload
 
@@ -157,13 +157,13 @@ def decode_message(data: bytes) -> WireMessage:
     if length > MAX_FRAME:
         raise WireError(f"frame length {length} exceeds limit")
     if len(data) - _FRAME.size != length:
-        raise LengthMismatchError(f"frame declares {length} payload bytes, have {len(data) - _FRAME.size}")
+        raise WireError(f"frame declares {length} payload bytes, have {len(data) - _FRAME.size}")
     try:
-        header, fields, n_matrices = _LAYOUT[tag]
+        header, names, n_matrices = _LAYOUT[tag]
     except KeyError:
-        raise UnknownTagError(f"unknown message tag {tag}") from None
+        raise WireError(f"unknown message tag {tag}") from None
     r = _Reader(data, _FRAME.size)
-    kw = dict(zip(fields, r.unpack(header)))
+    kw = dict(zip(names, r.unpack(header)))
     if "block" in kw:
         kw["weight_id"] = _weight_id(kw.pop("block"), kw.pop("kind"))
     if "ranks" in kw:
@@ -175,7 +175,7 @@ def decode_message(data: bytes) -> WireMessage:
     if tag == ADAPTER_UPLOAD and mats[0].shape[1] != mats[1].shape[0]:
         raise WireError(f"upload rank mismatch {mats[0].shape} vs {mats[1].shape}")
     if r.pos != len(data):
-        raise LengthMismatchError(f"{len(data) - r.pos} trailing payload bytes")
+        raise WireError(f"{len(data) - r.pos} trailing payload bytes")
     return WireMessage(tag, **kw)
 
 
@@ -183,7 +183,7 @@ def frame_size(tag: int, shapes=(), entries: int = 0) -> int:
     """The byte length of a whole frame of ``tag`` whose matrices have
     ``shapes``; a PLAN's also counts its ``entries`` rank entries."""
     return (_FRAME.size + _LAYOUT[tag][0].size + _ENTRY.size * entries
-            + sum(_DIMS.size + 4 * rows * cols for rows, cols in shapes))
+            + sum(_DIMS.size + _F32.itemsize * rows * cols for rows, cols in shapes))
 
 
 def read_frame(sock, sizes) -> bytes:

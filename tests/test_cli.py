@@ -1,9 +1,11 @@
 import socket
 import threading
+import time
 
 import pytest
 
 from splitft.cli import main
+from test_net import _retrying
 
 
 def test_run_twice_gives_byte_identical_csv(tmp_path, capsys):
@@ -140,15 +142,13 @@ def test_net_mode_end_to_end(tmp_path, capsys):
         daemon=True,
     )
     server.start()
-    import time
-
-    time.sleep(0.1)
     clients = []
-    for cid in range(2):
+    for cid in range(2):  # each retries its connect until the server listens
         t = threading.Thread(
             target=lambda c=cid: codes.setdefault(
-                c, main(["run", "--mode", "net-client", "--connect", addr,
-                         "--client-id", str(c), "--config", str(cfg)])
+                c, _retrying(lambda: main(["run", "--mode", "net-client", "--connect", addr,
+                                           "--client-id", str(c), "--config", str(cfg)]),
+                             time.perf_counter() + 30.0)
             ),
             daemon=True,
         )

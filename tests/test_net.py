@@ -6,11 +6,13 @@ import struct
 import threading
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from splitft import metrics, model, net, orchestrator, wire
+from splitft import aggregation, metrics, model, net, orchestrator, wire
 from splitft.config import ExperimentConfig
 from splitft.linalg import derive_seed
 from splitft.weights import SplitPoint, WeightId, all_weight_ids
@@ -29,32 +31,7 @@ def test_networked_run_matches_simulation_within_wire_precision():
     cfg = replace(
         ExperimentConfig(), total_rounds=8, agg_period=4, n_clients=2, seed=3
     ).validate()
-    port = _free_port()
-    result = {}
-
-    def server():
-        result["srv"] = net.serve(cfg, "127.0.0.1", port)
-
-    threads = [threading.Thread(target=server, daemon=True)]
-    threads[0].start()
-
-    import time
-
-    time.sleep(0.1)
-    for cid in range(cfg.n_clients):
-        t = threading.Thread(
-            target=lambda c=cid: result.setdefault(c, net.run_client(cfg, c, "127.0.0.1", port)),
-            daemon=True,
-        )
-        t.start()
-        threads.append(t)
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive(), "networked run deadlocked"
-
-    net_reports, net_summary = result["srv"]
-    assert result[0] == cfg.total_rounds  # clients saw every round
-    assert result[1] == cfg.total_rounds
+    net_reports, net_summary = _session(cfg)  # which checks that clients saw every round
 
     sim_reports, sim_summary = orchestrator.run_experiment(cfg)
     assert len(net_reports) == len(sim_reports)
@@ -70,6 +47,18 @@ def test_networked_run_matches_simulation_within_wire_precision():
     assert net_summary["budget_violations"] == 0
 
 
+def _retrying(connect, deadline):
+    """``connect()``, tried again every ms while the server it connects to
+    refuses (it is not listening yet), until ``deadline``."""
+    while True:
+        try:
+            return connect()
+        except ConnectionRefusedError:
+            if time.perf_counter() > deadline:
+                raise
+            time.sleep(0.001)
+
+
 def _session(cfg):
     """One serve session on localhost with every client as a thread; returns
     serve's (reports, summary). Clients retry until the server listens."""
@@ -80,16 +69,10 @@ def _session(cfg):
         out["srv"] = net.serve(cfg, HOST, port)
 
     def client(cid):
-        deadline = time.perf_counter() + 30.0
-        while True:
-            try:
-                out[cid] = net.run_client(cfg, cid, HOST, port)
-                return
-            except ConnectionRefusedError:
-                if time.perf_counter() > deadline:
-                    errors.append(f"client {cid}: server never listened")
-                    return
-                time.sleep(0.001)
+        try:
+            out[cid] = _retrying(lambda: net.run_client(cfg, cid, HOST, port), time.perf_counter() + 30.0)
+        except ConnectionRefusedError:
+            errors.append(f"client {cid}: server never listened")
 
     threads = [threading.Thread(target=server, name="server", daemon=True)]
     threads += [threading.Thread(target=client, args=(cid,), name=f"client-{cid}", daemon=True)
@@ -106,12 +89,7 @@ def _session(cfg):
 
 def _connect(port, deadline):
     """A raw socket to the server on ``port``, retrying until it listens."""
-    while True:
-        try:
-            return socket.create_connection((HOST, port))
-        except ConnectionRefusedError:
-            assert time.perf_counter() < deadline, "server never listened"
-            time.sleep(0.001)
+    return _retrying(lambda: socket.create_connection((HOST, port)), deadline)
 
 
 def _recv_exactly(sock, n):
@@ -300,6 +278,49 @@ def test_server_and_clients_hold_identical_base_weights(monkeypatch):
             assert np.array_equal(params.attn[wid], W)
 
 
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_every_side_merges_on_the_rounds_the_config_names(transport, monkeypatch):
+    """``ExperimentConfig.aggregates`` patched to rounds 2 and 3 of four
+    (``agg_period`` 2 names 2 and 4): the reports, the rounds whose uploads
+    the fed server aggregates and the rounds that change the server's base
+    all follow it, and over TCP every client's copy of the base ends equal
+    to the server's."""
+    monkeypatch.setattr(ExperimentConfig, "aggregates", lambda self, t: t in (2, 3))
+    monkeypatch.setattr(net, "PEER_TIMEOUT_S", 2.0)
+    built, rounds, aggregated, changed = {}, [], [], []
+    build_model, aggregate, run_round = model.build_model, aggregation.aggregate, orchestrator.run_round
+
+    def building(*args):
+        built[threading.current_thread().name] = params = build_model(*args)
+        return params
+
+    def aggregating(uploads, *args):
+        if uploads:
+            aggregated.append(rounds[-1])
+        return aggregate(uploads, *args)
+
+    def running(state, t, *args):
+        rounds.append(t)
+        before = {wid: W.copy() for wid, W in state.params.attn.items()}
+        rep = run_round(state, t, *args)
+        if any(not np.array_equal(W, before[wid]) for wid, W in state.params.attn.items()):
+            changed.append(t)
+        return rep
+
+    monkeypatch.setattr(model, "build_model", building)
+    monkeypatch.setattr(aggregation, "aggregate", aggregating)
+    monkeypatch.setattr(orchestrator, "run_round", running)
+    tcp = transport == "tcp"
+    reports, _ = _session(SHORT) if tcp else orchestrator.run_experiment(SHORT)
+    assert [r.aggregated for r in reports] == [False, True, True, False]
+    assert aggregated == changed == [2, 3]
+    server = built.pop("server" if tcp else threading.current_thread().name)
+    assert sorted(built) == ([f"client-{cid}" for cid in range(SHORT.n_clients)] if tcp else [])
+    for params in built.values():
+        for wid, W in server.attn.items():
+            assert np.array_equal(params.attn[wid], W)
+
+
 @pytest.mark.parametrize("bad", [None, "activations-client-id", "barrier-round", "upload-rank",
                                  "activations-nan", "barrier-inf", "upload-nan",
                                  "activations-width", "upload-width", "barrier-rows", "upload-weight",
@@ -430,38 +451,50 @@ def test_serve_ends_with_a_named_error_when_a_peer_misbehaves(fault, error):
 @pytest.mark.parametrize("bad", [None, "agg-update-nan", "agg-update-unknown-block", "cut-grad-shape",
                                  "plan-server-side", "plan-rank", "plan-split",
                                  "plan-next-round", "shutdown-early", "plan-past-last-round",
-                                 "plan-weight-twice", "agg-update-weight-twice"])
+                                 "plan-weight-twice", "agg-update-weight-twice",
+                                 "agg-update-off-round", "agg-update-server-side", "agg-update-missing-upload"])
 def test_run_client_rejects_server_frames_that_do_not_fit_the_round(bad, monkeypatch):
-    """A scripted server plays round 1 (which does not aggregate) to a real
-    client 0, sends one AGG_UPDATE anyway, then shuts the session down; the
-    case ``bad`` spoils one frame, or runs the session one round short of or
-    past the client's config. The client must end with a ``ProtocolError``
-    naming the server before any non-finite value reaches its copy of the
-    base weights."""
-    cfg = replace(SHORT, total_rounds=2 if bad == "shutdown-early" else 1)
-    rows, d = cfg.batch * cfg.model.seq_len, cfg.model.d_model
-    j = cfg.model.n_blocks if bad == "plan-split" else 1
+    """A scripted server plays round 1, a merge round (``agg_period`` 1), to
+    a real client 0 planned one adapter, b0.Q, at split 1. It reads the
+    client's upload of b0.Q, merges b0.Q and b0.K, then shuts the session
+    down. The case ``bad`` spoils one frame; runs the session one round
+    short of or past the client's config; sends the merge on a round that
+    does not aggregate (``agg_period`` 2); merges a server-side weight in
+    place of b0.K; or leaves the uploaded b0.Q out. The client must end
+    with a ``ProtocolError`` naming the server before any non-finite value
+    reaches its copy of the base weights."""
+    cfg = replace(SHORT, total_rounds=2 if bad == "shutdown-early" else 1,
+                  agg_period=2 if bad == "agg-update-off-round" else 1)
+    rows, d, n_blocks = cfg.batch * cfg.model.seq_len, cfg.model.d_model, cfg.model.n_blocks
+    j = n_blocks if bad == "plan-split" else 1
     ranks = ((WeightId(0, "Q"), 3 if bad == "plan-rank" else 4),)
     if bad == "plan-server-side":
         ranks += ((WeightId(j, "Q"), 4),)
     if bad == "plan-weight-twice":
         ranks += ranks
+    other_block = {"agg-update-unknown-block": n_blocks, "agg-update-server-side": j}.get(bad, 0)
+    merged = [WeightId(0, "Q"), WeightId(other_block, "K")]
+    if bad == "agg-update-weight-twice":
+        merged.append(merged[1])
+    if bad == "agg-update-missing-upload":
+        merged.remove(WeightId(0, "Q"))
     update = np.full((d, d), 1e-3)
     if bad == "agg-update-nan":
         update[0, 0] = np.nan
-    agg_update = wire.WireMessage(wire.AGG_UPDATE, matrices=(update,), weight_id=WeightId(
-        cfg.model.n_blocks if bad == "agg-update-unknown-block" else 0, "K"))
-    script = [  # (frame to read first, or None; frames to send after it)
+    tail = [
+        *(wire.WireMessage(wire.AGG_UPDATE, weight_id=wid, matrices=(update,)) for wid in merged),
+        wire.WireMessage(wire.BARRIER, round=1, client_id=0, loss=1.0),
+        wire.WireMessage(wire.PLAN, client_id=0, split_j=1, seed=2, ranks=ranks) if bad == "plan-past-last-round"
+        else wire.WireMessage(wire.BARRIER, round=net.SHUTDOWN_ROUND, client_id=0),
+    ]
+    uploads = bad != "agg-update-off-round"  # the client uploads b0.Q on a merge round
+    script = [  # (frame to read first; frames to send after it)
         (wire.BARRIER, [wire.WireMessage(wire.PLAN, client_id=0, split_j=j, seed=1 + (bad == "plan-next-round"),
                                          ranks=ranks)]),
         (wire.ACTIVATIONS, [wire.WireMessage(wire.CUT_GRAD, client_id=0, matrices=(
             np.full((rows, d // 2 if bad == "cut-grad-shape" else d), 1e-3),))]),
-        (wire.BARRIER, [
-            *[agg_update] * (1 + (bad == "agg-update-weight-twice")),
-            wire.WireMessage(wire.BARRIER, round=1, client_id=0, loss=1.0),
-            wire.WireMessage(wire.PLAN, client_id=0, split_j=1, seed=2, ranks=ranks) if bad == "plan-past-last-round"
-            else wire.WireMessage(wire.BARRIER, round=net.SHUTDOWN_ROUND, client_id=0),
-        ]),
+        (wire.BARRIER, [] if uploads else tail),
+        *([(wire.ADAPTER_UPLOAD, tail)] if uploads else []),
     ]
     built = []
     build_model = model.build_model
@@ -478,6 +511,91 @@ def test_run_client_rejects_server_frames_that_do_not_fit_the_round(bad, monkeyp
         assert not th.is_alive()
     for W in built[0].attn.values():
         assert np.isfinite(W).all()
+
+
+FUZZ_TIMEOUT_S = 0.2
+SPOILS = ("drop", "twice", "truncate", "flip", "nan", "stall")
+
+
+def _spoiled_session(sender, k, spoil, share, byte, mask):
+    """A 2-round SHORT session (round 2 merges) whose ``net._send`` spoils
+    the ``k``-th frame (from 0) that ``sender`` sends: "client 0" is its
+    socket's frames, "server" the server's frames to client 0. The frame is
+    dropped, sent twice, cut after a ``share`` of it and its socket shut
+    down, sent with header byte ``byte`` XOR ``mask``, sent with a NaN in
+    its first matrix, or sent only after the peer timeout. Returns
+    ({"server", "client-0", "client-1"} -> (its result or exception,
+    when it ended), when the frame was spoiled or None)."""
+    cfg = replace(SHORT, total_rounds=2)
+    port, send = _free_port(), net._send
+    outcome, spoiled, sent, owners = {}, [], [0], {}
+
+    def spoiling(sock, msg):
+        if threading.current_thread().name.startswith("client-"):
+            ours = threading.current_thread().name == "client-0" and sender == "client 0"
+        else:  # the server's first frame on a socket is the PLAN that names its client
+            ours = owners.setdefault(id(sock), msg.client_id) == 0 and sender == "server"
+        if not ours or sent[0] != k:
+            sent[0] += ours
+            return send(sock, msg)
+        sent[0] += 1
+        spoiled.append(time.perf_counter())
+        if spoil == "nan" and msg.matrices:
+            first = msg.matrices[0].copy()
+            first.flat[0] = np.nan
+            msg = replace(msg, matrices=(first, *msg.matrices[1:]))
+        frame = bytearray(wire.encode_message(msg))
+        if spoil == "flip":
+            frame[byte] ^= mask
+        if spoil == "stall":
+            time.sleep(FUZZ_TIMEOUT_S + 0.15)
+        if spoil == "truncate":
+            sock.sendall(frame[:int(share * len(frame))])
+            sock.shutdown(socket.SHUT_RDWR)
+        elif spoil != "drop":
+            sock.sendall(frame * (1 + (spoil == "twice")))
+
+    def run(name, call):
+        try:
+            result = call()
+        except Exception as e:
+            result = e
+        outcome[name] = (result, time.perf_counter())
+
+    def client(cid):  # retries a refused connect while the server may still start listening
+        return _retrying(lambda: net.run_client(cfg, cid, HOST, port), time.perf_counter() + 1.0)
+
+    calls = {"server": lambda: net.serve(cfg, HOST, port), **{f"client-{cid}": lambda c=cid: client(c)
+                                                                for cid in range(cfg.n_clients)}}
+    threads = [threading.Thread(target=run, args=(name, call), name=name, daemon=True) for name, call in calls.items()]
+    with mock.patch.object(net, "PEER_TIMEOUT_S", FUZZ_TIMEOUT_S), mock.patch.object(net, "_send", spoiling):
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10)
+            assert not th.is_alive(), f"{th.name} still running after a {spoil} frame"
+    return outcome, (spoiled or [None])[0]
+
+
+@settings(deadline=None, max_examples=20, suppress_health_check=[HealthCheck.too_slow])
+@given(sender=st.sampled_from(["client 0", "server"]), k=st.integers(0, 11), spoil=st.sampled_from(SPOILS),
+       share=st.floats(0.0, 1.0, exclude_max=True), byte=st.integers(0, 4), mask=st.integers(1, 255))
+def test_a_session_with_one_spoiled_frame_ends_normally_or_names_its_sender(sender, k, spoil, share, byte, mask):
+    """Every end finishes normally, or the end that receives the spoiled
+    frame raises a ``WireError`` naming its sender within the peer timeout
+    plus 0.3 s of the spoiling. No end raises anything but a ``WireError``
+    or an ``OSError``. The server names client 0 "a connecting peer" until
+    its hello, frame 0, is read."""
+    outcome, spoiled_at = _spoiled_session(sender, k, spoil, share, byte, mask)
+    failed = {name: e for name, (e, _) in outcome.items() if isinstance(e, Exception)}
+    for name, e in failed.items():
+        assert isinstance(e, (wire.WireError, OSError)), (name, repr(e))
+    if failed:
+        receiver = "server" if sender == "client 0" else "client-0"
+        names = ("server: ",) if sender == "server" else ("client 0: ",) + ("a connecting peer: ",) * (k == 0)
+        error, at = outcome[receiver]
+        assert isinstance(error, wire.WireError) and str(error).startswith(names), (receiver, repr(error), failed)
+        assert spoiled_at is not None and at - spoiled_at < FUZZ_TIMEOUT_S + 0.3
 
 
 def _client_against_a_stalling_server(where, head):
@@ -669,18 +787,12 @@ def test_serve_names_the_clients_that_never_connect(monkeypatch):
             outcome["server"] = e
 
     def client():
-        deadline = time.perf_counter() + 10.0
-        while True:
-            try:
-                net.run_client(cfg, 0, HOST, port)
-                return
-            except ConnectionRefusedError:
-                if time.perf_counter() > deadline:
-                    return
-                time.sleep(0.001)
-            except Exception as e:
-                outcome["client"] = e
-                return
+        try:
+            _retrying(lambda: net.run_client(cfg, 0, HOST, port), time.perf_counter() + 10.0)
+        except ConnectionRefusedError:
+            pass  # the server never listened: no outcome, and the test fails
+        except Exception as e:
+            outcome["client"] = e
 
     threads = [threading.Thread(target=server, name="server", daemon=True),
                threading.Thread(target=client, name="client-0", daemon=True)]

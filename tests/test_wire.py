@@ -2,6 +2,7 @@ import hashlib
 import struct
 import threading
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -108,11 +109,11 @@ def test_truncated_frame_is_rejected():
     data = wire.encode_message(
         wire.WireMessage(wire.CUT_GRAD, client_id=0, matrices=(np.ones((2, 2)),))
     )
-    with pytest.raises(wire.LengthMismatchError):
+    with pytest.raises(wire.WireError, match=f"^frame declares {len(data) - 5} payload bytes, have {len(data) - 6}$"):
         wire.decode_message(data[:-1])
     # frame declaring more payload than present
     short = struct.pack("<IB", 10, wire.CUT_GRAD) + b"\x00" * 9
-    with pytest.raises(wire.LengthMismatchError):
+    with pytest.raises(wire.WireError, match="^frame declares 10 payload bytes, have 9$"):
         wire.decode_message(short)
 
 
@@ -125,7 +126,7 @@ def test_truncated_payload_inside_declared_length():
 
 def test_unknown_tag():
     data = struct.pack("<IB", 0, 99)
-    with pytest.raises(wire.UnknownTagError):
+    with pytest.raises(wire.WireError, match="^unknown message tag 99$"):
         wire.decode_message(data)
 
 
@@ -133,7 +134,7 @@ def test_trailing_bytes_rejected():
     msg = wire.WireMessage(wire.CUT_GRAD, client_id=0, matrices=(np.ones((1, 1)),))
     data = bytearray(wire.encode_message(msg))
     data[:4] = struct.pack("<I", len(data) - 5 + 2)
-    with pytest.raises(wire.LengthMismatchError):
+    with pytest.raises(wire.WireError, match="^2 trailing payload bytes$"):
         wire.decode_message(bytes(data) + b"\x00\x00")
 
 
@@ -154,6 +155,34 @@ def test_float32_rounding_is_the_only_loss():
     out = wire.decode_message(wire.encode_message(msg)).matrices[0]
     assert np.array_equal(out, m.astype(np.float32).astype(np.float64))
     assert np.max(np.abs(out - m)) / np.max(np.abs(m)) < 1e-6
+
+
+# Entries from below float32's subnormals (they round to zero) to past its
+# largest finite value (they round to infinity).
+_WIDE = st.builds(lambda m, e: m * 2.0 ** e, st.floats(-2.0, 2.0), st.integers(-160, 130))
+
+
+@settings(deadline=None, max_examples=200)
+@given(rows=st.integers(1, 4), entries=st.lists(_WIDE, min_size=1, max_size=12))
+def test_as_received_is_the_decoded_matrix_bit_for_bit(rows, entries):
+    m = np.resize(np.array(entries), (rows, len(entries)))
+    with np.errstate(over="ignore"):  # float32 overflow is part of what the wire does
+        sent = wire.decode_message(wire.encode_message(wire.WireMessage(wire.AGG_UPDATE, weight_id=WeightId(0, "Q"),
+                                                                         matrices=(m,)))).matrices[0]
+        got = wire.as_received(m)
+    assert got.dtype == sent.dtype == np.float64
+    assert got.shape == sent.shape and got.tobytes() == sent.tobytes()
+
+
+def test_messages_that_differ_in_one_field_are_unequal():
+    base = wire.WireMessage(wire.PLAN)
+    other = {"tag": wire.BARRIER, "client_id": 1, "round": 1, "n_samples": 1, "weight_id": WeightId(0, "Q"),
+             "loss": 0.5, "split_j": 1, "seed": 1, "ranks": ((WeightId(0, "Q"), 4),)}
+    assert set(other) == {f.name for f in fields(wire.WireMessage)} - {"matrices"}
+    for name, value in other.items():
+        changed = replace(base, **{name: value})
+        assert changed != base and base != changed, name
+        assert changed == replace(base, **{name: value})
 
 
 def test_read_frame_from_socket_pair():
