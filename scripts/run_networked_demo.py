@@ -10,7 +10,6 @@ import argparse
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 
@@ -35,15 +34,18 @@ def main() -> int:
             [sys.executable, "-m", "splitft.cli", "run", "--mode", "net-server",
              "--listen", addr, "--config", str(cfg_path), "--out", args.out]
         )
-        time.sleep(0.5)
-        clients = [
+        clients = [  # each waits for the server to listen
             subprocess.Popen(
                 [sys.executable, "-m", "splitft.cli", "run", "--mode", "net-client",
                  "--connect", addr, "--client-id", str(cid), "--config", str(cfg_path)]
             )
             for cid in range(args.clients)
         ]
-        codes = [p.wait(timeout=120) for p in [server] + clients]
+        codes = [server.wait(timeout=120)]
+        for client in clients:
+            if codes[0]:  # the server failed: the client would wait for it up to PEER_TIMEOUT_S
+                client.kill()
+            codes.append(client.wait(timeout=120))
 
     if any(codes):
         print(f"nonzero exit codes: {codes}", file=sys.stderr)

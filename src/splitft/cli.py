@@ -8,8 +8,9 @@ Subcommands:
 
 Every subcommand is non-interactive and returns a nonzero exit status when
 any check fails. Bad input (an unreadable or invalid config file, a bad flag
-value, a missing address, a client id outside the config) ends the command
-with one ``<command>: <message>`` on stderr and exit status 2.
+value, a missing address, a client id outside the config, an ``--out`` path
+that cannot be written) ends the command with one ``<command>: <message>``
+on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import aggregation, lora, model, net, orchestrator, planner
 from .aggregation import AdapterUpload, RankMismatchError
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import BudgetSpec, ConfigError, ExperimentConfig, parse_config
 from .importance import ImportanceTable
 from .linalg import derive_seed
 from .metrics import emit_csv, ranks_string
@@ -53,13 +54,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    if args.mode == "sim":
-        reports, summary = orchestrator.run_experiment(config)
-    elif args.mode == "net-server":
-        if args.listen is None:
-            raise UsageError("--mode net-server requires --listen host:port")
-        reports, summary = net.serve(config, *args.listen)
-    else:  # net-client
+    if args.mode == "net-client":
         if args.connect is None or args.client_id is None:
             raise UsageError("--mode net-client requires --connect host:port and --client-id")
         if not 0 <= args.client_id < config.n_clients:
@@ -68,6 +63,14 @@ def cmd_run(args) -> int:
         rounds = net.run_client(config, args.client_id, *args.connect)
         print(f"client {args.client_id} finished after {rounds} rounds")
         return 0
+    if args.mode == "net-server" and args.listen is None:
+        raise UsageError("--mode net-server requires --listen host:port")
+    try:
+        open(args.out, "a").close()  # a path that cannot be written fails now, not after the last round
+    except OSError as e:
+        raise UsageError(f"--out: {e}") from None
+    reports, summary = (net.serve(config, *args.listen) if args.mode == "net-server"
+                        else orchestrator.run_experiment(config))
     emit_csv(reports, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     print(f"wrote {args.out}")
@@ -76,12 +79,9 @@ def cmd_run(args) -> int:
 
 def _parse_budget(flag: str, text: str) -> float:
     try:
-        value = float(text)
+        return BudgetSpec("fixed", value=float(text)).validate().value
     except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise UsageError(f"{flag}: expected a finite budget above 0, got {text!r}")
-    return value
+        raise UsageError(f"{flag}: expected a finite budget above 0, got {text!r}") from None
 
 
 def _parse_importance(text: str, n_blocks: int) -> dict[WeightId, float]:

@@ -54,7 +54,9 @@ allow, a frame not whole within ``PEER_TIMEOUT_S`` of its read's start
 (one bound for every frame, whether the peer is silent, drips bytes or
 stalls after a header), or a client that does not connect within it (the
 listening socket has the same timeout) ends the session with
-``ProtocolError``. Every error ``_recv`` raises names its peer.
+``ProtocolError``. Every error ``_recv`` raises names its peer. A client
+waits as long for its server to listen (``connect``), so the processes may
+start in any order; a server that never listens is named the same way.
 
 Both ends set TCP_NODELAY: the server writes small frames back to back,
 and under Nagle's algorithm the second would wait for the peer's delayed ACK.
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 import contextlib
 import socket
+import time
 
 import numpy as np
 
@@ -75,12 +78,30 @@ from .weights import SplitPoint, WeightId, all_weight_ids
 from .wire import ProtocolError
 
 SHUTDOWN_ROUND = 0xFFFFFFFF
-# Longest wait for a peer's next frame. The longest legitimate silence is a
-# client waiting for its first PLAN while the server accepts clients that
-# are still being started, possibly by hand (``splitft run --mode
-# net-client``); rounds of the configured scales take well under a second.
-# Five minutes covers both, so only a stalled peer reaches it.
+# Longest wait for a peer's next frame or for a server to listen. The longest
+# legitimate silences are a client started before its server, and one waiting
+# for its first PLAN while the server accepts clients still being started,
+# possibly by hand (``splitft run --mode net-client``); rounds of the
+# configured scales take well under a second. Five minutes covers them all,
+# so only a stalled peer reaches it.
 PEER_TIMEOUT_S = 300.0
+
+
+def connect(host: str, port: int) -> socket.socket:
+    """A socket connected to the server at ``host:port``. A refused connect is
+    tried again after 0.2 ms, the delay doubling up to 0.1 s, for
+    ``PEER_TIMEOUT_S`` from the first attempt; then a ``ProtocolError`` names
+    the server."""
+    deadline, delay = time.monotonic() + PEER_TIMEOUT_S, 0.0002
+    while (left := deadline - time.monotonic()) > 0:
+        try:
+            return socket.create_connection((host, port), timeout=left)
+        except ConnectionRefusedError:
+            time.sleep(min(delay, left))
+            delay = min(2 * delay, 0.1)
+        except TimeoutError:
+            break
+    raise ProtocolError(f"server {host}:{port}: did not accept a connection within {PEER_TIMEOUT_S} s")
 
 
 def _send(sock: socket.socket, msg: wire.WireMessage) -> None:
@@ -182,10 +203,11 @@ def serve(config: ExperimentConfig, host: str, port: int) -> tuple[list[RoundRep
 
 
 def run_client(config: ExperimentConfig, client_id: int, host: str, port: int) -> int:
-    """Connect to a serving peer and take part in the config's rounds and the
-    shutdown; returns the rounds. The model and shard are built only once
-    connected, so a caller that retries a refused connect does not rebuild them."""
-    with socket.create_connection((host, port)) as sock:
+    """Connect to the server at ``host:port``, waiting for it to listen
+    (``connect``), and take part in the config's rounds and the shutdown;
+    returns the rounds. The model and shard are built only once connected,
+    so a client whose server never listens builds neither."""
+    with connect(host, port) as sock:
         sim = ClientSim.build(config, client_id, orchestrator.base_model(config))
         rows, d, n_blocks = config.batch * config.model.seq_len, config.model.d_model, config.model.n_blocks
         # The lengths of every frame the server may send: a PLAN of at most

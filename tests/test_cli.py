@@ -1,11 +1,10 @@
 import socket
 import threading
-import time
 
 import pytest
 
+from splitft import net, orchestrator
 from splitft.cli import main
-from test_net import _retrying
 
 
 def test_run_twice_gives_byte_identical_csv(tmp_path, capsys):
@@ -124,6 +123,29 @@ def test_a_client_id_outside_the_config_exits_before_connecting(capsys):
         assert len(err.splitlines()) == 1 and err.startswith("run: --client-id") and f"got {cid}" in err
 
 
+@pytest.mark.parametrize("mode", ["sim", "net-server"])
+def test_an_out_path_that_cannot_be_written_exits_two_before_the_first_round(mode, tmp_path, monkeypatch, capsys):
+    def started(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(orchestrator, "run_experiment", started)
+    monkeypatch.setattr(net, "serve", started)
+    out = tmp_path / "missing" / "m.csv"
+    assert main(["run", "--mode", mode, "--listen", "127.0.0.1:1", "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("run: --out: ") and str(out) in err
+
+
+def test_a_net_client_does_not_create_its_out_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(net, "run_client", lambda config, cid, host, port: 3)
+    out = tmp_path / "m.csv"
+    assert main(["run", "--mode", "net-client", "--connect", "127.0.0.1:1", "--client-id", "0",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "client 0 finished after 3 rounds\n"
+    assert not out.exists()
+
+
 def test_net_mode_end_to_end(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("total_rounds = 4\nagg_period = 2\nn_clients = 2\nseed = 1\n")
@@ -134,26 +156,15 @@ def test_net_mode_end_to_end(tmp_path, capsys):
     out = tmp_path / "net.csv"
 
     codes = {}
-    server = threading.Thread(
-        target=lambda: codes.setdefault(
-            "s", main(["run", "--mode", "net-server", "--listen", addr,
-                       "--config", str(cfg), "--out", str(out)])
-        ),
-        daemon=True,
-    )
-    server.start()
-    clients = []
-    for cid in range(2):  # each retries its connect until the server listens
-        t = threading.Thread(
-            target=lambda c=cid: codes.setdefault(
-                c, _retrying(lambda: main(["run", "--mode", "net-client", "--connect", addr,
-                                           "--client-id", str(c), "--config", str(cfg)]),
-                             time.perf_counter() + 30.0)
-            ),
-            daemon=True,
-        )
+
+    def side(key, *flags):
+        return threading.Thread(target=lambda: codes.setdefault(key, main(["run", *flags, "--config", str(cfg)])),
+                                daemon=True)
+
+    clients = [side(c, "--mode", "net-client", "--connect", addr, "--client-id", str(c)) for c in range(2)]
+    server = side("s", "--mode", "net-server", "--listen", addr, "--out", str(out))
+    for t in clients + [server]:  # the clients first: each waits for the server to listen
         t.start()
-        clients.append(t)
     for t in [server] + clients:
         t.join(timeout=60)
         assert not t.is_alive()

@@ -47,49 +47,44 @@ def test_networked_run_matches_simulation_within_wire_precision():
     assert net_summary["budget_violations"] == 0
 
 
-def _retrying(connect, deadline):
-    """``connect()``, tried again every ms while the server it connects to
-    refuses (it is not listening yet), until ``deadline``."""
-    while True:
-        try:
-            return connect()
-        except ConnectionRefusedError:
-            if time.perf_counter() > deadline:
-                raise
-            time.sleep(0.001)
-
-
 def _session(cfg):
     """One serve session on localhost with every client as a thread; returns
-    serve's (reports, summary). Clients retry until the server listens."""
+    serve's (reports, summary). The server starts only once every client's
+    first connect has been refused, so each client joins through
+    ``net.connect``'s wait."""
     port = _free_port()
-    out, errors = {}, []
+    out, refused, ready = {}, set(), threading.Condition()
+    create_connection = socket.create_connection
+
+    def recording(*args, **kwargs):
+        try:
+            return create_connection(*args, **kwargs)
+        except ConnectionRefusedError:
+            with ready:
+                refused.add(threading.current_thread().name)
+                ready.notify()
+            raise
 
     def server():
         out["srv"] = net.serve(cfg, HOST, port)
 
     def client(cid):
-        try:
-            out[cid] = _retrying(lambda: net.run_client(cfg, cid, HOST, port), time.perf_counter() + 30.0)
-        except ConnectionRefusedError:
-            errors.append(f"client {cid}: server never listened")
+        out[cid] = net.run_client(cfg, cid, HOST, port)
 
-    threads = [threading.Thread(target=server, name="server", daemon=True)]
-    threads += [threading.Thread(target=client, args=(cid,), name=f"client-{cid}", daemon=True)
-                for cid in range(cfg.n_clients)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=60)
-        assert not th.is_alive(), f"{th.name} still running"
-    assert not errors
+    threads = [threading.Thread(target=client, args=(cid,), name=f"client-{cid}", daemon=True)
+               for cid in range(cfg.n_clients)]
+    threads.append(threading.Thread(target=server, name="server", daemon=True))
+    with mock.patch.object(socket, "create_connection", recording):
+        for th in threads[:-1]:
+            th.start()
+        with ready:
+            assert ready.wait_for(lambda: len(refused) == cfg.n_clients, timeout=10)
+        threads[-1].start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive(), f"{th.name} still running"
     assert [out[cid] for cid in range(cfg.n_clients)] == [cfg.total_rounds] * cfg.n_clients
     return out["srv"]
-
-
-def _connect(port, deadline):
-    """A raw socket to the server on ``port``, retrying until it listens."""
-    return _retrying(lambda: socket.create_connection((HOST, port)), deadline)
 
 
 def _recv_exactly(sock, n):
@@ -193,13 +188,16 @@ def test_serve_runs_each_round_through_the_orchestrator_module(monkeypatch):
 
 
 def test_refused_connect_builds_no_model_or_shard(monkeypatch):
+    monkeypatch.setattr(net, "PEER_TIMEOUT_S", 0.3)
     builds = []
     build_model, make_shard = model.build_model, net.make_shard
     monkeypatch.setattr(model, "build_model", lambda *a: builds.append("model") or build_model(*a))
     monkeypatch.setattr(net, "make_shard", lambda *a: builds.append("shard") or make_shard(*a))
     port = _free_port()  # bound and closed again: nothing listens on it
-    with pytest.raises(ConnectionRefusedError):
+    start = time.perf_counter()
+    with pytest.raises(net.ProtocolError, match=f"^server {HOST}:{port}: "):
         net.run_client(SHORT, 0, HOST, port)
+    assert time.perf_counter() - start < 0.6
     assert builds == []
 
 
@@ -243,10 +241,10 @@ def test_serve_rejects_a_bad_hello(hellos, named):
 
     th = threading.Thread(target=server, daemon=True)
     th.start()
-    socks, deadline = [], time.perf_counter() + 10.0
+    socks = []
     try:
         for cid, t in hellos:
-            sock = _connect(port, deadline)
+            sock = net.connect(HOST, port)
             socks.append(sock)
             sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=t, client_id=cid)))
         th.join(timeout=10)
@@ -421,12 +419,11 @@ def test_serve_ends_with_a_named_error_when_a_peer_misbehaves(fault, error):
         except Exception as e:
             outcome["client"] = e
 
-    deadline = time.perf_counter() + 10.0
     threads = [threading.Thread(target=server, name="server", daemon=True),
                threading.Thread(target=client, name="client-1", daemon=True)]
     threads[0].start()
     rows, d = cfg.batch * cfg.model.seq_len, cfg.model.d_model
-    with _connect(port, deadline) as sock:
+    with net.connect(HOST, port) as sock:
         sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=0)))
         threads[1].start()
         plan = wire.decode_message(_read_any(sock))
@@ -562,11 +559,8 @@ def _spoiled_session(sender, k, spoil, share, byte, mask):
             result = e
         outcome[name] = (result, time.perf_counter())
 
-    def client(cid):  # retries a refused connect while the server may still start listening
-        return _retrying(lambda: net.run_client(cfg, cid, HOST, port), time.perf_counter() + 1.0)
-
-    calls = {"server": lambda: net.serve(cfg, HOST, port), **{f"client-{cid}": lambda c=cid: client(c)
-                                                                for cid in range(cfg.n_clients)}}
+    calls = {"server": lambda: net.serve(cfg, HOST, port),
+             **{f"client-{cid}": lambda c=cid: net.run_client(cfg, c, HOST, port) for cid in range(cfg.n_clients)}}
     threads = [threading.Thread(target=run, args=(name, call), name=name, daemon=True) for name, call in calls.items()]
     with mock.patch.object(net, "PEER_TIMEOUT_S", FUZZ_TIMEOUT_S), mock.patch.object(net, "_send", spoiling):
         for th in threads:
@@ -667,7 +661,7 @@ def test_a_silent_peer_ends_the_session_within_the_peer_timeout(monkeypatch):
     threads = [threading.Thread(target=server, name="server", daemon=True),
                threading.Thread(target=client, name="client-1", daemon=True)]
     threads[0].start()
-    with _connect(port, time.perf_counter() + 10.0) as sock:
+    with net.connect(HOST, port) as sock:
         sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=0)))
         threads[1].start()
         plan = wire.decode_message(_read_any(sock))
@@ -788,9 +782,7 @@ def test_serve_names_the_clients_that_never_connect(monkeypatch):
 
     def client():
         try:
-            _retrying(lambda: net.run_client(cfg, 0, HOST, port), time.perf_counter() + 10.0)
-        except ConnectionRefusedError:
-            pass  # the server never listened: no outcome, and the test fails
+            net.run_client(cfg, 0, HOST, port)
         except Exception as e:
             outcome["client"] = e
 

@@ -210,6 +210,26 @@ def test_each_report_carries_the_round_to_the_next():
         assert (rep.server_ranks is prev.server_ranks) == (rep.server_ranks == prev.server_ranks)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_threshold_replan_moves_the_split_once(seed, monkeypatch):
+    """With tau0 far below delta_I's scale, round 2's importance gap exceeds
+    tau: ``run_round`` re-selects the split for the threshold, moving it to
+    the best plan's split, and no later round re-plans."""
+    mc = ModelConfig(n_blocks=4, d_model=16, n_heads=2, vocab_size=16, seq_len=8)
+    budget = BudgetSpec("fixed", value=3 * mc.seq_len * mc.d_model + 2000.0)  # as in the test above
+    cfg = replace(SMALL, model=mc, batch=1, total_rounds=8, agg_period=4, seed=seed, rank_set=(1, 2, 4, 8, 16),
+                  client_budget=budget, server_budget=budget, tau0=1e-6).validate()
+    best_plan, best = planner.best_plan, []
+    monkeypatch.setattr(planner, "best_plan", lambda plans: best.append(best_plan(plans)) or best[-1])
+    state = init_state(cfg)
+    reports = [run_round(state, t) for t in range(1, cfg.total_rounds + 1)]
+    first, second = reports[:2]
+    assert second.replan_reason == "threshold" and second.delta_I > second.tau
+    assert second.split_j == best[-1].split.j != first.split_j
+    assert [rep.replan_reason for rep in reports[2:]] == [""] * (cfg.total_rounds - 2)
+    assert len(best) == 2  # round 1's selection and round 2's
+
+
 def test_budgets_are_drawn_once_per_round(monkeypatch):
     calls = []
 

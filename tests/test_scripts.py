@@ -4,9 +4,11 @@ import importlib.util
 import json
 import os
 import re
+import socket
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,11 +18,11 @@ from splitft import metrics
 REPO = Path(__file__).resolve().parent.parent
 
 
-def _run(script, *args):
+def _run(script, *args, status=0):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / script), *args],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == status, proc.stderr
     return proc.stdout.splitlines()
 
 
@@ -31,6 +33,28 @@ def test_run_desk_experiment_writes_its_csv(tmp_path):
     assert rows[0] == ",".join(metrics.COLUMNS)
     assert len(rows) == 1 + 5 * 3  # a row per round per client
     assert lines[-1] == f"wrote {out} (5 rounds x 3 clients)"
+
+
+def test_networked_demo_runs_a_server_and_its_clients(tmp_path):
+    out = tmp_path / "net.csv"
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    lines = _run("run_networked_demo.py", "--rounds", "2", "--clients", "2", "--port", str(port), "--out", str(out))
+    assert lines[-1].startswith("all processes exited cleanly")
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2  # a row per round per client
+
+
+def test_networked_demo_stops_its_clients_when_its_server_fails(tmp_path):
+    """The port is bound and not listening, so the server cannot listen on it
+    and its clients are refused: the demo ends them rather than let them
+    wait out the peer timeout."""
+    start = time.perf_counter()
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        _run("run_networked_demo.py", "--rounds", "2", "--port", str(held.getsockname()[1]),
+             "--out", str(tmp_path / "net.csv"), status=1)
+    assert time.perf_counter() - start < 30
 
 
 def test_compare_aggregators_reports_every_seed():
