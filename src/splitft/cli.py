@@ -118,7 +118,7 @@ def cmd_plan(args) -> int:
     print(f"split_j = {plan.split.j}")
     print(f"I_g = {plan.global_importance:.17g}")
     for cid in sorted(plan.client_assignments):
-        feas = "" if plan.client_feasible.get(cid, True) else "  (base blocks exceed budget)"
+        feas = "" if plan.client_feasible[cid] else "  (base blocks exceed budget)"
         print(f"client {cid} (budget {budgets[cid]:g}): {ranks_string(plan.client_assignments[cid])}{feas}")
     feas = "" if plan.server_feasible else "  (base blocks exceed budget)"
     print(f"server (budget {server_budget:g}): {ranks_string(plan.server_assignment)}{feas}")

@@ -261,17 +261,15 @@ def round_budgets(config: ExperimentConfig, t: int) -> Budgets:
 def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundPlan, float, float, str]:
     """Returns (plan, delta_I, tau, reason) under the round's budgets, from
     the last report's split and tau; the reason is "" for a rank-only re-fit
-    and names the cause of a re-selection. Every candidate split is planned
-    once; delta_I, the rank-only re-fit and a re-selection all read those plans."""
+    and names the cause of a re-selection. One ``planner.plan_splits`` call
+    plans every candidate split; delta_I, the rank-only re-fit and a
+    re-selection all read those plans."""
     config, last = state.config, state.last
     cm, rank_set = config.cost_model(), RankSet(config.rank_set)
 
     if t > 1 and state.last_numerators:
         state.table.update_round(state.last_numerators, t)
-    plans = {
-        s: planner.plan_for_split(s, *budgets, state.table, rank_set, cm)
-        for s in config.model.split_points()
-    }
+    plans = planner.plan_splits(config.model.split_points(), *budgets, state.table, rank_set, cm)
     if last is None:
         return planner.best_plan(plans.values()), 0.0, config.tau0, "initial"
 
@@ -292,7 +290,7 @@ def _check_budgets(state: ExperimentState, plan: RoundPlan, budgets: Budgets) ->
     cm = state.config.cost_model()
     client_budgets, server_budget = budgets
     for cid, assignment in plan.client_assignments.items():
-        if plan.client_feasible.get(cid, True):
+        if plan.client_feasible[cid]:
             if planner.side_cost(plan.split, "client", assignment, cm) > client_budgets[cid]:
                 state.budget_violations += 1
     if plan.server_feasible:

@@ -8,17 +8,20 @@ costs beta_act * batch * seq_len * d_model of activation memory.
 Ranks are assigned greedily to weights in descending blended importance,
 each weight taking the largest rank in the rank set that still fits the
 remaining budget. All trainable weights are square d_model x d_model, so a
-rank costs the same on each: the ranks are priced once per pass, and the
-pass stops at the first weight no rank fits, as the budget left then fits
-no later weight either. The split point is chosen by maximizing the global
-importance score over all candidate splits; ties break toward the smallest
-split index, and weight ordering ties break by (block asc, Q<K<V<O).
+rank costs the same on each: the ranks are priced once per planning call,
+and each side's pass stops at the first weight no rank fits, as the budget
+left then fits no later weight either. One call of ``plan_splits`` plans
+every candidate split from one importance order, sorted once per call;
+``orchestrator.plan_round`` and ``select_split`` both plan through it. The
+split point is chosen by maximizing the global importance score over all
+candidate splits; ties break toward the smallest split index, and weight
+ordering ties break by (block asc, Q<K<V<O).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .importance import ImportanceTable
 from .weights import SplitPoint, WeightId, all_weight_ids
@@ -59,8 +62,8 @@ class RoundPlan:
     global_importance: float
     # Per-side base feasibility: False when the frozen blocks alone exceed
     # the budget, in which case the side got an empty assignment.
-    client_feasible: dict[int, bool] = field(default_factory=dict)
-    server_feasible: bool = True
+    client_feasible: dict[int, bool]
+    server_feasible: bool
 
 
 def adapter_cost(weight_id: WeightId, r: int, cost_model: CostModel) -> float:
@@ -88,72 +91,60 @@ def side_cost(split: SplitPoint, side: str, assignment: Assignment, cost_model: 
     )
 
 
-def sort_candidates(weight_ids: list[WeightId], table: ImportanceTable) -> list[WeightId]:
-    """Descending blended importance, ties by (block asc, Q<K<V<O)."""
-    return sorted(weight_ids, key=lambda w: (-table.blended(w), w.sort_key()))
-
-
-def greedy_assign(
-    budget_remaining: float, candidates: list[WeightId], Q: RankSet, cost_model: CostModel
-) -> Assignment:
-    # Every rank is priced once, on the first candidate (see the module docstring).
-    priced = [(r, adapter_cost(wid, r, cost_model)) for wid in candidates[:1] for r in reversed(Q.ranks)]
-    assignment: Assignment = {}
-    remaining = budget_remaining
-    for wid in candidates:
-        for r, c in priced:
-            if c <= remaining:
-                assignment[wid] = r
-                remaining -= c
-                break
-        else:
-            break
-    return assignment
-
-
-def global_importance(
-    client_assignments: dict[int, Assignment],
-    server_assignment: Assignment,
-    table: ImportanceTable,
-    cost_model: CostModel,
-) -> float:
-    """Mean blended importance per unit of adapter cost over every client's
-    adapters, plus the same mean over the server's; a side with none adds 0."""
-    def mean_theta(adapters: Iterable[tuple[WeightId, int]]) -> float:
-        thetas = [table.blended(wid) / adapter_cost(wid, r, cost_model) for wid, r in adapters]
-        return sum(thetas) / len(thetas) if thetas else 0.0
-
-    return (mean_theta(item for a in client_assignments.values() for item in a.items())
-            + mean_theta(server_assignment.items()))
-
-
-def plan_for_split(
-    split: SplitPoint,
+def plan_splits(
+    splits: Iterable[SplitPoint],
     client_budgets: dict[int, float],
     server_budget: float,
     table: ImportanceTable,
     Q: RankSet,
     cost_model: CostModel,
-) -> RoundPlan:
-    # The sort key is a total order, so each side's filtered list is in sorted order.
-    ordered = sort_candidates(all_weight_ids(cost_model.n_blocks), table)
-    client_wids = [w for w in ordered if split.client_side(w)]
-    server_wids = [w for w in ordered if not split.client_side(w)]
+) -> dict[SplitPoint, RoundPlan]:
+    """The plan of every split in ``splits``, keyed by split in that order.
 
-    def plan_side(side: str, budget: float, candidates: list[WeightId]) -> tuple[Assignment, bool]:
+    One pass serves them all: the weights are sorted once, by descending
+    blended importance with ties by (block asc, Q<K<V<O); as that key is a
+    total order, each split's side lists are filters of the one sorted list.
+    The rank set is priced once, on one weight (see the module docstring),
+    for the greedy and for the theta = blended / cost terms of I_g alike.
+    """
+    ordered = sorted(all_weight_ids(cost_model.n_blocks), key=lambda w: (-table.blended(w), w.sort_key()))
+    price = {r: adapter_cost(wid, r, cost_model) for wid in ordered[:1] for r in Q.ranks}
+    ladder = sorted(price.items(), reverse=True)
+
+    def plan_side(split: SplitPoint, side: str, budget: float, candidates: list[WeightId]) -> tuple[Assignment, bool]:
         remaining = budget - base_side_cost(split, side, cost_model)
-        if remaining >= 0:
-            return greedy_assign(remaining, candidates, Q, cost_model), True
-        return {}, False
+        if remaining < 0:
+            return {}, False
+        assignment: Assignment = {}
+        for wid in candidates:
+            for r, c in ladder:
+                if c <= remaining:
+                    assignment[wid] = r
+                    remaining -= c
+                    break
+            else:
+                break
+        return assignment, True
 
-    client_assignments: dict[int, Assignment] = {}
-    client_feasible: dict[int, bool] = {}
-    for cid in sorted(client_budgets):
-        client_assignments[cid], client_feasible[cid] = plan_side("client", client_budgets[cid], client_wids)
-    server_assignment, server_feasible = plan_side("server", server_budget, server_wids)
+    def mean_theta(adapters: Iterable[tuple[WeightId, int]]) -> float:
+        thetas = [table.blended(wid) / price[r] for wid, r in adapters]
+        return sum(thetas) / len(thetas) if thetas else 0.0
 
-    ig = global_importance(client_assignments, server_assignment, table, cost_model)
-    return RoundPlan(split, client_assignments, server_assignment, ig, client_feasible, server_feasible)
+    plans = {}
+    for split in splits:
+        client_wids = [w for w in ordered if split.client_side(w)]
+        server_wids = [w for w in ordered if not split.client_side(w)]
+        client_assignments: dict[int, Assignment] = {}
+        client_feasible: dict[int, bool] = {}
+        for cid in sorted(client_budgets):
+            client_assignments[cid], client_feasible[cid] = plan_side(split, "client", client_budgets[cid], client_wids)
+        server_assignment, server_feasible = plan_side(split, "server", server_budget, server_wids)
+        # I_g: the mean theta over every client's adapters plus the mean over
+        # the server's; a side with none adds 0.
+        ig = (mean_theta(item for a in client_assignments.values() for item in a.items())
+              + mean_theta(server_assignment.items()))
+        plans[split] = RoundPlan(split, client_assignments, server_assignment, ig, client_feasible, server_feasible)
+    return plans
 
 
 def best_plan(plans: Iterable[RoundPlan]) -> RoundPlan:
@@ -171,7 +162,7 @@ def select_split(
 ) -> RoundPlan:
     if not split_set:
         raise ValueError("empty split candidate set")
-    return best_plan(plan_for_split(s, client_budgets, server_budget, table, Q, cost_model) for s in split_set)
+    return best_plan(plan_splits(split_set, client_budgets, server_budget, table, Q, cost_model).values())
 
 
 def threshold_update(tau_prev: float, delta_I: float, epsilon: float) -> float:

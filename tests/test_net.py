@@ -51,9 +51,10 @@ def _session(cfg):
     """One serve session on localhost with every client as a thread; returns
     serve's (reports, summary). The server starts only once every client's
     first connect has been refused, so each client joins through
-    ``net.connect``'s wait."""
+    ``net.connect``'s wait. An end that raises fails the session at once,
+    with that end's error, rather than when the others give up waiting."""
     port = _free_port()
-    out, refused, ready = {}, set(), threading.Condition()
+    out, refused, ended, ready = {}, set(), {}, threading.Condition()  # ended: thread name -> error or None
     create_connection = socket.create_connection
 
     def recording(*args, **kwargs):
@@ -65,24 +66,35 @@ def _session(cfg):
                 ready.notify()
             raise
 
-    def server():
-        out["srv"] = net.serve(cfg, HOST, port)
+    def end(key, fn, *args):
+        error = None
+        try:
+            out[key] = fn(*args)
+        except BaseException as e:
+            error = e
+        with ready:
+            ended[threading.current_thread().name] = error
+            ready.notify()
 
-    def client(cid):
-        out[cid] = net.run_client(cfg, cid, HOST, port)
+    def settle(done, timeout):
+        """Waits until ``done()`` holds or an end has raised; fails naming every end that raised."""
+        with ready:
+            ready.wait_for(lambda: done() or any(e is not None for e in ended.values()), timeout=timeout)
+            failures = [(name, e) for name, e in ended.items() if e is not None]
+        if failures:
+            raise AssertionError("; ".join(f"{name} raised {e!r}" for name, e in failures)) from failures[0][1]
 
-    threads = [threading.Thread(target=client, args=(cid,), name=f"client-{cid}", daemon=True)
-               for cid in range(cfg.n_clients)]
-    threads.append(threading.Thread(target=server, name="server", daemon=True))
+    threads = [threading.Thread(target=end, args=(cid, net.run_client, cfg, cid, HOST, port), name=f"client-{cid}",
+                                daemon=True) for cid in range(cfg.n_clients)]
+    threads.append(threading.Thread(target=end, args=("srv", net.serve, cfg, HOST, port), name="server", daemon=True))
     with mock.patch.object(socket, "create_connection", recording):
         for th in threads[:-1]:
             th.start()
-        with ready:
-            assert ready.wait_for(lambda: len(refused) == cfg.n_clients, timeout=10)
+        settle(lambda: len(refused) == cfg.n_clients, 10)
+        assert len(refused) == cfg.n_clients, f"clients refused so far: {sorted(refused)}"
         threads[-1].start()
-        for th in threads:
-            th.join(timeout=60)
-            assert not th.is_alive(), f"{th.name} still running"
+        settle(lambda: len(ended) == len(threads), 60)
+        assert len(ended) == len(threads), f"{[th.name for th in threads if th.name not in ended]} still running"
     assert [out[cid] for cid in range(cfg.n_clients)] == [cfg.total_rounds] * cfg.n_clients
     return out["srv"]
 

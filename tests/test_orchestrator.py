@@ -3,10 +3,13 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from splitft import importance, lora, metrics, model, orchestrator, planner
 from splitft.config import BudgetSpec, ExperimentConfig
 from splitft.linalg import derive_seed
@@ -418,21 +421,75 @@ def test_each_split_is_planned_once_per_round(monkeypatch):
         client_budget=BudgetSpec("fixed", value=3 * base + 2000.0),
         server_budget=BudgetSpec("scripted", table=server),
     ).validate()
-    plan_for_split = planner.plan_for_split
+    plan_splits = planner.plan_splits
     calls = []
 
-    def counting(split, *args):
-        calls.append(split.j)
-        return plan_for_split(split, *args)
+    def counting(splits, *args):
+        calls.append([s.j for s in splits])
+        return plan_splits(splits, *args)
 
-    monkeypatch.setattr(planner, "plan_for_split", counting)
+    monkeypatch.setattr(planner, "plan_splits", counting)
     state = init_state(cfg)
     reasons = []
     for t in range(1, cfg.total_rounds + 1):
         calls.clear()
         reasons.append(run_round(state, t).replan_reason)
-        assert calls == [1, 2, 3]
+        assert calls == [[1, 2, 3]]  # one planner call per round covers every split
     assert reasons == ["initial", "", "infeasible", "", ""]  # select, re-fit and re-select paths all ran
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), n_blocks=st.integers(2, 4), n_clients=st.integers(1, 3), rounds=st.integers(3, 6),
+       seed=st.integers(0, 999), tau0=st.sampled_from([1e-6, 0.05]))
+def test_plan_round_matches_the_naive_planner_every_round(data, n_blocks, n_clients, rounds, seed, tau0):
+    """Each round's plan is the naive planner's over every split on a
+    re-selection and over the last split on a rank-only re-fit, fed the
+    blended importances plan_round planned from; delta_I, tau and the reason
+    follow their rules. The server budget dips below every split's base cost
+    in one round, so the current split is infeasible there."""
+    mc = ModelConfig(n_blocks=n_blocks, d_model=8, n_heads=2, vocab_size=8, seq_len=4)
+    cfg = replace(SMALL, model=mc, n_clients=n_clients, total_rounds=rounds, agg_period=2, batch=1, seed=seed,
+                  rank_set=(1, 2, 4, 8), tau0=tau0)
+    unit = cfg.kappa_opt * 2 * mc.d_model
+    per_block = cfg.beta_act * cfg.batch * mc.seq_len * mc.d_model
+    server = {t: per_block * data.draw(st.integers(0, n_blocks)) + unit * data.draw(st.integers(1, 40))
+              for t in range(1, rounds + 1)}
+    dip = data.draw(st.integers(2, rounds))
+    server[dip] = per_block / 2
+    cfg = replace(cfg, client_budget=BudgetSpec("uniform", lo=per_block / 2, hi=per_block * n_blocks + 20 * unit),
+                  server_budget=BudgetSpec("scripted", table=server)).validate()
+
+    plan_round, seen = orchestrator.plan_round, []
+
+    def recording(state, t, budgets):
+        out = plan_round(state, t, budgets)
+        seen.append((budgets, {w: state.table.blended(w) for w in all_weight_ids(n_blocks)}, out))
+        return out
+
+    state = init_state(cfg)
+    with mock.patch.object(orchestrator, "plan_round", recording):
+        for t in range(1, rounds + 1):
+            run_round(state, t)
+
+    assert len(seen) == rounds
+    splits, prev_j = list(range(1, n_blocks)), None
+    for (cb, sb), nums, (plan, delta_I, tau, reason) in seen:
+        def naive(js):
+            return reference.naive_select_split(js, n_blocks, cb, sb, nums, cfg.rank_set, unit, per_block)
+
+        if prev_j is None:
+            assert (delta_I, tau, reason) == (0.0, tau0, "initial")
+        else:
+            ig = {j: naive([j])[3] for j in splits}
+            want = max(ig[j] for j in splits if j != prev_j) - ig[prev_j] if len(splits) > 1 else 0.0
+            assert abs(delta_I - want) <= 1e-12 * max(1.0, abs(want))
+            assert tau == planner.threshold_update(prev_tau, delta_I, cfg.epsilon)
+            feasible = per_block * prev_j <= min(cb.values()) and per_block * (n_blocks - prev_j) <= sb
+            assert reason == (("threshold" if feasible else "infeasible") if want > tau or not feasible else "")
+        j, cas, sas, _ = naive(splits if reason else [prev_j])
+        assert (plan.split.j, plan.client_assignments, plan.server_assignment) == (j, cas, sas)
+        prev_j, prev_tau = plan.split.j, tau
+    assert seen[dip - 1][2][3] == "infeasible"
 
 
 def test_group_sizes_give_bit_identical_runs(monkeypatch):

@@ -48,27 +48,36 @@ def test_side_cost_rejects_weights_across_the_cut():
         side_cost(s, "client", {WeightId(2, "Q"): 1}, CM)
 
 
+def _plan(split, client_budgets, server_budget, table, Q, cm=CM):
+    (plan,) = planner.plan_splits([split], client_budgets, server_budget, table, Q, cm).values()
+    return plan
+
+
 def test_sort_candidates_importance_then_canonical_order():
-    table = _table(2, {WeightId(0, "V"): 5.0, WeightId(1, "K"): 5.0, WeightId(0, "Q"): 9.0})
-    wids = [WeightId(0, k) for k in ("Q", "K", "V", "O")] + [WeightId(1, "K")]
-    order = planner.sort_candidates(wids, table)
-    assert order[:3] == [WeightId(0, "Q"), WeightId(0, "V"), WeightId(1, "K")]
+    table = _table(4, {WeightId(1, "V"): 5.0, WeightId(2, "K"): 5.0, WeightId(1, "Q"): 9.0})
+    plan = _plan(SplitPoint(1), {0: 1e9}, 1e9, table, RankSet((1,)))  # room for every weight
+    order = list(plan.server_assignment)
+    assert order[:3] == [WeightId(1, "Q"), WeightId(1, "V"), WeightId(2, "K")]
     # zero-importance ties fall back to block asc then Q<K<V<O
-    assert order[3:] == [WeightId(0, "K"), WeightId(0, "O")]
+    assert order[3:] == [WeightId(1, "K"), WeightId(1, "O"), WeightId(2, "Q"), WeightId(2, "V"), WeightId(2, "O"),
+                         *(WeightId(3, k) for k in ("Q", "K", "V", "O"))]
+    assert list(plan.client_assignments[0]) == [WeightId(0, k) for k in ("Q", "K", "V", "O")]
 
 
 def test_greedy_assign_takes_largest_fitting_rank():
-    table = _table(2, {WeightId(0, "Q"): 3.0, WeightId(0, "K"): 2.0})
-    cands = planner.sort_candidates([WeightId(0, "Q"), WeightId(0, "K")], table)
+    table = _table(4, {WeightId(0, "Q"): 3.0, WeightId(0, "K"): 2.0})
+    split = SplitPoint(1)
     unit = adapter_cost(WeightId(0, "Q"), 1, CM)
-    got = planner.greedy_assign(5 * unit, cands, RankSet((1, 2, 4)), CM)
-    assert got == {WeightId(0, "Q"): 4, WeightId(0, "K"): 1}
+    plan = _plan(split, {0: base_side_cost(split, "client", CM) + 5 * unit}, 1e9, table, RankSet((1, 2, 4)))
+    assert plan.client_assignments[0] == {WeightId(0, "Q"): 4, WeightId(0, "K"): 1}
 
 
 def test_greedy_assign_empty_when_nothing_fits():
-    table = _table(2, {})
-    cands = planner.sort_candidates([WeightId(0, "Q")], table)
-    assert planner.greedy_assign(1.0, cands, RankSet((1, 2)), CM) == {}
+    split = SplitPoint(1)
+    budget = base_side_cost(split, "client", CM) + 1.0
+    plan = _plan(split, {0: budget}, 1e9, _table(4, {}), RankSet((1, 2)))
+    assert plan.client_assignments[0] == {}
+    assert plan.client_feasible[0]
 
 
 SIXTY_FOUR = [WeightId(b, k) for b in range(16) for k in ("Q", "K", "V", "O")]
@@ -82,40 +91,60 @@ def test_greedy_assign_prices_each_rank_once_and_stops_when_the_budget_is_spent(
         return adapter_cost(wid, r, cost_model)
 
     monkeypatch.setattr(planner, "adapter_cost", counting)
+    cm = CostModel(d_model=16, n_blocks=16, batch=1, seq_len=1)
     Q = RankSet((1, 2, 4, 8, 16, 32))
-    unit = adapter_cost(WeightId(0, "Q"), 1, CM)
-    got = planner.greedy_assign(2 * 32 * unit, SIXTY_FOUR, Q, CM)
-    assert got == {SIXTY_FOUR[0]: 32, SIXTY_FOUR[1]: 32}
-    assert len(calls) <= len(Q.ranks)
+    unit = adapter_cost(WeightId(0, "Q"), 1, cm)
+    splits = [SplitPoint(j) for j in range(1, 16)]
+    server_budget = base_side_cost(splits[0], "server", cm) + 2 * 32 * unit
+    plans = planner.plan_splits(splits, {0: 1e9, 1: 1e9}, server_budget, _table(16, {}), Q, cm)
+    assert plans[splits[0]].server_assignment == {SIXTY_FOUR[4]: 32, SIXTY_FOUR[5]: 32}
+    assert all(len(p.client_assignments[cid]) == 4 * p.split.j for p in plans.values() for cid in (0, 1))
+    assert len(calls) == len(Q.ranks)  # across 15 splits and three sides each
 
 
 def test_greedy_assign_matches_naive_oracle_when_the_budget_runs_out():
     rng = np.random.default_rng(11)
-    ran_out = 0
-    for _ in range(500):
+    splits = [SplitPoint(j) for j in range(1, 16)]
+    sides, ran_out = 0, 0
+    for _ in range(100):
         cm = CostModel(d_model=int(rng.integers(1, 9)) * 8, n_blocks=16, batch=1, seq_len=1,
                        kappa_opt=float(rng.integers(1, 5)))
         ranks = tuple(sorted(rng.choice([1, 2, 3, 4, 6, 8, 16, 32], size=int(rng.integers(1, 6)),
                                         replace=False).tolist()))
-        n = int(rng.integers(0, len(SIXTY_FOUR) + 1))
+        numerators = {w: float(rng.integers(0, 4)) for w in SIXTY_FOUR if rng.random() < 0.7}
         unit = adapter_cost(WeightId(0, "Q"), 1, cm)
-        budget = float(rng.uniform(0, 3 * ranks[-1] * unit))
-        got = planner.greedy_assign(budget, SIXTY_FOUR[:n], RankSet(ranks), cm)
-        assert got == reference.naive_greedy_assign(budget, SIXTY_FOUR[:n], ranks, unit)
-        ran_out += 0 < len(got) < n
-    assert ran_out > 100  # most instances spend the budget partway through the list
+        per_block = base_side_cost(SplitPoint(1), "client", cm)
+        client_budget, server_budget = rng.uniform(0, 16 * per_block + 3 * ranks[-1] * unit, size=2).tolist()
+        plans = planner.plan_splits(splits, {0: client_budget}, server_budget, _table(16, numerators),
+                                    RankSet(ranks), cm)
+        for s, plan in plans.items():
+            for got, wids, remaining in (
+                (plan.client_assignments[0], SIXTY_FOUR[:4 * s.j], client_budget - per_block * s.j),
+                (plan.server_assignment, SIXTY_FOUR[4 * s.j:], server_budget - per_block * (16 - s.j)),
+            ):
+                if remaining < 0:
+                    assert got == {}
+                    continue
+                ordered = reference.naive_sort(wids, numerators)
+                assert got == reference.naive_greedy_assign(remaining, ordered, ranks, unit)
+                sides += 1
+                ran_out += 0 < len(got) < len(wids)
+    assert ran_out > sides // 2  # most sides spend the budget partway through their list
 
 
 def test_global_importance_zero_over_zero_is_zero():
-    table = _table(4, {})
-    assert planner.global_importance({0: {}}, {}, table, CM) == 0.0
+    split = SplitPoint(2)
+    nothing_fits = base_side_cost(split, "client", CM) + 1.0
+    plan = _plan(split, {0: nothing_fits, 1: 0.0}, 0.0, _table(4, {}), RankSet((1,)))
+    assert (plan.client_assignments, plan.server_assignment) == ({0: {}, 1: {}}, {})
+    assert plan.global_importance == 0.0
 
 
 def test_plan_for_split_marks_infeasible_sides():
     table = _table(4, {})
     split = SplitPoint(2)
     base = base_side_cost(split, "client", CM)
-    plan = planner.plan_for_split(split, {0: base - 1, 1: base + 1}, 1e9, table, RankSet((1,)), CM)
+    plan = _plan(split, {0: base - 1, 1: base + 1}, 1e9, table, RankSet((1,)))
     assert plan.client_feasible == {0: False, 1: True}
     assert plan.client_assignments[0] == {}
     assert plan.server_feasible
@@ -123,10 +152,12 @@ def test_plan_for_split_marks_infeasible_sides():
 
 def test_select_split_prefers_smallest_j_on_ties():
     table = _table(4, {})  # all-zero importance: every split scores 0
-    plan = planner.select_split(
-        [SplitPoint(j) for j in (1, 2, 3)], {0: 1e9}, 1e9, table, RankSet((1,)), CM
-    )
-    assert plan.split.j == 1
+    splits = [SplitPoint(j) for j in (1, 2, 3)]
+    plans = planner.plan_splits(splits, {0: 1e9}, 1e9, table, RankSet((1,)), CM)
+    assert list(plans) == splits
+    assert [p.global_importance for p in plans.values()] == [0.0, 0.0, 0.0]
+    assert planner.best_plan(plans.values()).split.j == 1
+    assert planner.select_split(splits, {0: 1e9}, 1e9, table, RankSet((1,)), CM).split.j == 1
 
 
 def test_threshold_update_examples():
