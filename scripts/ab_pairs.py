@@ -12,8 +12,12 @@ of pairs the tree won. A metric named with ``--claim`` gets the gain rule:
 it must win at least 9 in 10 pairs and its median must beat the parent's by
 more than the parent's quartile spread (Q3 - Q1). Every other metric gets the
 bound check: its median may be worse than the parent's by at most the
-metric's relative bound. Runs that print ``correct: false`` or fail rounds
-are listed, and so are pairs whose ``splitbench/out/<workload>.csv`` differ.
+metric's relative bound. When the parent's own spread, (Q3 - Q1) / median,
+is wider than that bound, a median inside the bound shows little, so unless
+every tree run beats every parent run the verdict is labelled
+``unresolved``; whether it passes is still the bound check. Runs that print
+``correct: false`` or fail rounds are listed, and so are pairs whose
+``splitbench/out/<workload>.csv`` differ.
 A run that exits nonzero makes its pair a failed pair: the tail of its
 stderr is printed, the comparison goes on without that pair, and the
 verdict fails.
@@ -103,6 +107,9 @@ def report(workload: str, runs: list[tuple[dict, dict]], metrics: list[dict], cl
             worse = change if lower else -change
             passed = worse <= m["bound"]
             verdict = f"bound {m['bound']:g} {'ok' if passed else 'BREACH'}"
+            spread = (a3 - a1) / am
+            if spread > m["bound"] and not (max(b) < min(a) if lower else min(b) > max(a)):
+                verdict = f"unresolved (parent spread {spread:.2g} > bound); {verdict}"
         ok &= passed
         table[name] = {"parent": {"median": am, "q1": a1, "q3": a3}, "tree": {"median": bm, "q1": b1, "q3": b3},
                        "change": change, "wins": wins, "verdict": verdict}

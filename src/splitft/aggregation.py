@@ -90,5 +90,5 @@ def aggregate(uploads: list[AdapterUpload], aggregator: str, mode: str) -> dict[
         by_wid.setdefault(u.weight_id, []).append(u)
     return {
         wid: haa_delta(by_wid[wid]) if aggregator == "haa" else naa_delta(by_wid[wid], mode)
-        for wid in sorted(by_wid, key=WeightId.sort_key)
+        for wid in sorted(by_wid, key=WeightId.position)
     }

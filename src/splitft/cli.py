@@ -192,7 +192,7 @@ def _gradcheck_setup(seed: int):
 
     split = SplitPoint(1)
     adapters = {}
-    for i, wid in enumerate(sorted(params.attn, key=WeightId.sort_key)):
+    for i, wid in enumerate(sorted(params.attn, key=WeightId.position)):
         r = (1, 2, 4, 2)[i % 4]
         ad = lora.new_adapter(wid, r, 8, 8, derive_seed(seed, "ad", i))
         ad.B = 0.3 * rng.standard_normal(ad.B.shape)

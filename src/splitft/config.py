@@ -130,12 +130,17 @@ def _parse_budget(text: str) -> BudgetSpec:
     if kind == "fixed":
         return BudgetSpec("fixed", value=float(rest))
     if kind == "uniform":
-        lo, hi = (float(p) for p in rest.split(","))
+        bounds = rest.split(",")
+        if len(bounds) != 2:
+            raise ValueError(f"expected uniform:<lo>,<hi>, got {text.strip()!r}")
+        lo, hi = map(float, bounds)
         return BudgetSpec("uniform", lo=lo, hi=hi)
     if kind == "scripted":
         table = {}
         for entry in rest.split(","):
             rnd, _, val = entry.partition("=")
+            if int(rnd) in table:
+                raise ValueError(f"scripted budget names round {int(rnd)} twice")
             table[int(rnd)] = float(val)
         return BudgetSpec("scripted", table=table)
     raise ValueError(f"unknown budget kind {kind!r} (expected fixed|uniform|scripted)")

@@ -18,7 +18,7 @@ def _fmt(x: float) -> str:
 
 
 def ranks_string(ranks: dict[WeightId, int]) -> str:
-    parts = [f"{wid}={ranks[wid]}" for wid in sorted(ranks, key=WeightId.sort_key)]
+    parts = [f"{wid}={ranks[wid]}" for wid in sorted(ranks, key=WeightId.position)]
     return ";".join(parts) if parts else "-"
 
 

@@ -149,7 +149,7 @@ class RemoteClient:
 
     def forward(self, split: SplitPoint, assignment: dict[WeightId, int], t: int) -> tuple[np.ndarray, np.ndarray]:
         self.split, self.ranks = split, tuple((wid, assignment[wid])
-                                              for wid in sorted(assignment, key=WeightId.sort_key))
+                                              for wid in sorted(assignment, key=WeightId.position))
         plan = wire.WireMessage(wire.PLAN, client_id=self.client_id, split_j=split.j, seed=t, ranks=self.ranks)
         _send(self.sock, plan)
         # Activations must have the shape of the targets the server scores them against.

@@ -239,7 +239,7 @@ def _reconcile_adapters(
     """Keep adapters whose rank is unchanged; create fresh ones otherwise.
     In-flight low-rank state of re-ranked or dropped weights is discarded."""
     out: AdapterSet = {}
-    for wid in sorted(assignment, key=WeightId.sort_key):
+    for wid in sorted(assignment, key=WeightId.position):
         r = assignment[wid]
         old = current.get(wid)
         if old is not None and old.r == r:

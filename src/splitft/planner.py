@@ -107,7 +107,7 @@ def plan_splits(
     The rank set is priced once, on one weight (see the module docstring),
     for the greedy and for the theta = blended / cost terms of I_g alike.
     """
-    ordered = sorted(all_weight_ids(cost_model.n_blocks), key=lambda w: (-table.blended(w), w.sort_key()))
+    ordered = sorted(all_weight_ids(cost_model.n_blocks), key=lambda w: (-table.blended(w), w.position()))
     price = {r: adapter_cost(wid, r, cost_model) for wid in ordered[:1] for r in Q.ranks}
     ladder = sorted(price.items(), reverse=True)
 

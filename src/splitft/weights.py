@@ -21,11 +21,9 @@ class WeightId:
         if self.block < 0:
             raise ValueError(f"negative block index {self.block}")
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.block, KIND_ORDER[self.kind])
-
     def position(self) -> int:
-        """This weight's index in ``all_weight_ids`` order."""
+        """This weight's index in ``all_weight_ids`` order, the canonical
+        order (block, then Q < K < V < O) that every sort of weights keys on."""
         return self.block * len(KINDS) + KIND_ORDER[self.kind]
 
     def __str__(self) -> str:

@@ -11,7 +11,9 @@ input.
 ``_LAYOUT`` is the one place where payload layouts live: per tag, the
 fixed header's struct, the message fields it carries and its matrix
 count. ``encode_message`` and ``decode_message`` are each one pass over
-that table, so a layout change is an edit to its entry.
+that table, so a layout change is an edit to its entry. ``decode_message``
+walks the frame with one offset and reads every field in place, so it
+copies no bytes slice per field.
 """
 
 from __future__ import annotations
@@ -100,27 +102,11 @@ def _weight_id(block: int, code: int) -> WeightId:
     return WeightId(block, KINDS[code])
 
 
-class _Reader:
-    def __init__(self, buf: bytes, pos: int):
-        self.buf = buf
-        self.pos = pos
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise TruncatedError(f"need {n} bytes at offset {self.pos}, have {len(self.buf) - self.pos}")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: struct.Struct) -> tuple:
-        return fmt.unpack(self.take(fmt.size))
-
-    def matrix(self) -> np.ndarray:
-        rows, cols = self.unpack(_DIMS)
-        if rows == 0 or cols == 0 or rows * cols > (MAX_FRAME // _F32.itemsize):
-            raise WireError(f"bad matrix dims {rows}x{cols}")
-        raw = self.take(rows * cols * _F32.itemsize)
-        return as_received(np.frombuffer(raw, dtype=_F32)).reshape(rows, cols)
+def _end(data: bytes, pos: int, n: int) -> int:
+    """The offset just past ``n`` bytes at ``pos``; TruncatedError if ``data`` ends before them."""
+    if pos + n > len(data):
+        raise TruncatedError(f"need {n} bytes at offset {pos}, have {len(data) - pos}")
+    return pos + n
 
 
 # The float64 matrix a peer decodes from ``m``, bit for bit: each entry rounded to the wire's float32.
@@ -162,20 +148,29 @@ def decode_message(data: bytes) -> WireMessage:
         header, names, n_matrices = _LAYOUT[tag]
     except KeyError:
         raise WireError(f"unknown message tag {tag}") from None
-    r = _Reader(data, _FRAME.size)
-    kw = dict(zip(names, r.unpack(header)))
+    pos = _end(data, _FRAME.size, header.size)
+    kw = dict(zip(names, header.unpack_from(data, _FRAME.size)))
     if "block" in kw:
         kw["weight_id"] = _weight_id(kw.pop("block"), kw.pop("kind"))
     if "ranks" in kw:
         if kw["ranks"] > 65536:
             raise WireError(f"implausible plan entry count {kw['ranks']}")
-        entries = _ENTRY.iter_unpack(r.take(_ENTRY.size * kw["ranks"]))
+        start, pos = pos, _end(data, pos, _ENTRY.size * kw["ranks"])
+        entries = (_ENTRY.unpack_from(data, at) for at in range(start, pos, _ENTRY.size))
         kw["ranks"] = tuple((_weight_id(block, code), rank) for block, code, rank in entries)
-    mats = kw["matrices"] = tuple(r.matrix() for _ in range(kw.get("matrices", n_matrices)))
+    mats = []
+    for _ in range(kw.get("matrices", n_matrices)):
+        start, pos = pos, _end(data, pos, _DIMS.size)
+        rows, cols = _DIMS.unpack_from(data, start)
+        if rows == 0 or cols == 0 or rows * cols > (MAX_FRAME // _F32.itemsize):
+            raise WireError(f"bad matrix dims {rows}x{cols}")
+        start, pos = pos, _end(data, pos, rows * cols * _F32.itemsize)
+        mats.append(as_received(np.frombuffer(data, _F32, rows * cols, start)).reshape(rows, cols))
+    kw["matrices"] = tuple(mats)
     if tag == ADAPTER_UPLOAD and mats[0].shape[1] != mats[1].shape[0]:
         raise WireError(f"upload rank mismatch {mats[0].shape} vs {mats[1].shape}")
-    if r.pos != len(data):
-        raise WireError(f"{len(data) - r.pos} trailing payload bytes")
+    if pos != len(data):
+        raise WireError(f"{len(data) - pos} trailing payload bytes")
     return WireMessage(tag, **kw)
 
 

@@ -3,13 +3,20 @@
 These deliberately avoid the library's computation paths: the transformer
 reference materializes every effective weight W + B A and backpropagates
 with explicit per-token Jacobians; the planner reference is a direct
-transliteration of the greedy procedure with no shared helpers.
+transliteration of the greedy procedure with no shared helpers; the session
+reference runs whole experiments from those two and its own arithmetic,
+sharing only seeded initializers with the library.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from splitft.linalg import derive_seed
+from splitft.lora import new_adapter
+from splitft.model import build_model
 from splitft.weights import KIND_ORDER, KINDS, WeightId
 
 LN_EPS = 1e-5
@@ -197,3 +204,124 @@ def naive_select_split(
         if best is None or ig > best[3] or (ig == best[3] and j < best[0]):
             best = (j, cas, sas, ig)
     return best
+
+
+def _naive_budget(spec, tag, t, seed):
+    # tag: the client id, or -1 for the server. A uniform budget is drawn once per entity.
+    if spec.kind == "fixed":
+        return spec.value
+    if spec.kind == "uniform":
+        u = np.random.Generator(np.random.PCG64(derive_seed(seed, "budget", tag))).random()
+        return spec.lo + (spec.hi - spec.lo) * u
+    return spec.table[t]
+
+
+def _naive_blend(prev, num, t, T):
+    # prev: the blended numerator so far; a weight without history takes num as it is.
+    if t == 1 or prev == 0.0:
+        return num
+    g = -math.expm1(-(num * t) / (prev * T))
+    g = min(max(g, math.nextafter(0.0, 1.0)), math.nextafter(1.0, 0.0))
+    return g * prev + (1.0 - g) * num
+
+
+def naive_session(config):
+    """Every round of an experiment, computed client by client on the
+    unsplit model: the copy task on each client's seeded shard, budgets
+    drawn by hand, plans from ``naive_select_split`` with the threshold
+    trigger, one plain-SGD step per client on its adapters, the server's
+    step on the client-averaged gradient, the sum over uploads of
+    (n_i/N) B_i A_i (or B_i A_i for ``agg_mode`` sum) merged into the base
+    every ``agg_period`` rounds, and the merged adapters re-initialized.
+    Only NAA aggregation is covered.
+
+    Returns one dict per round: the plan fields a ``RoundReport`` carries,
+    the losses, and the base weights and every side's adapters, as (B, A),
+    at the end of the round.
+    """
+    if config.aggregator != "naa":
+        raise ValueError("naive_session covers NAA aggregation only")
+    mc, seed = config.model, config.seed
+    d, n_blocks, C = mc.d_model, mc.n_blocks, config.n_clients
+    unit = config.kappa_opt * 2 * d
+    per_block = config.beta_act * config.batch * mc.seq_len * d
+    js = list(range(1, n_blocks))
+    wids = [WeightId(b, k) for b in range(n_blocks) for k in KINDS]
+
+    def fitted(held, assignment, t, side):
+        # Adapters of unchanged rank live on; the others start fresh from seeds of (round, side, weight).
+        return {w: held[w] if w in held and held[w].r == r
+                else new_adapter(w, r, d, d, derive_seed(seed, "adapter", t, side, w.block, w.kind))
+                for w, r in assignment.items()}
+
+    params = build_model(mc, derive_seed(seed, "model"))
+    shards = [np.random.Generator(np.random.PCG64(derive_seed(seed, "data", c)))
+              .integers(0, mc.vocab_size, size=(config.shard_size, mc.seq_len)) for c in range(C)]
+    client_ads = [{} for _ in range(C)]
+    server_ads = {}
+    blended = {w: 0.0 for w in wids}
+    last_nums = None
+    j = tau = None
+    rounds = []
+    for t in range(1, config.total_rounds + 1):
+        if last_nums is not None:
+            blended = {w: _naive_blend(blended[w], last_nums[w], t, config.total_rounds) for w in wids}
+        cb = {c: _naive_budget(config.client_budget, c, t, seed) for c in range(C)}
+        sb = _naive_budget(config.server_budget, -1, t, seed)
+        args = (n_blocks, cb, sb, blended, config.rank_set, unit, per_block)
+        if j is None:
+            delta_I, tau, reason, candidates = 0.0, config.tau0, "initial", js
+        else:
+            ig = {s: naive_select_split([s], *args)[3] for s in js}
+            delta_I = max(ig[s] for s in js if s != j) - ig[j] if len(js) > 1 else 0.0
+            tau = tau * max(1.0 - delta_I, config.epsilon)
+            feasible = per_block * j <= min(cb.values()) and per_block * (n_blocks - j) <= sb
+            reason = ("threshold" if feasible else "infeasible") if delta_I > tau or not feasible else ""
+            candidates = js if reason else [j]
+        j, cas, sas, ig_j = naive_select_split(candidates, *args)
+        client_ads = [fitted(client_ads[c], cas[c], t, c) for c in range(C)]
+        server_ads = fitted(server_ads, sas, t, -1)
+
+        losses, nums, server_sum = {}, {w: 0.0 for w in wids}, {}
+        for c in range(C):
+            tokens = shards[c][[((t - 1) * config.batch + i) % config.shard_size for i in range(config.batch)]]
+            _, loss, ad_grads, base_grads = unsplit_forward_backward(params, {**client_ads[c], **server_ads},
+                                                                     tokens, tokens)
+            losses[c] = loss
+            for w in wids:
+                nums[w] += float(np.abs(params.attn[w] * base_grads[w]).sum())
+            for w, ad in client_ads[c].items():
+                dB, dA = ad_grads[w]
+                ad.B, ad.A = ad.B - config.learning_rate * dB, ad.A - config.learning_rate * dA
+            for w in server_ads:
+                dB, dA = ad_grads[w]
+                sB, sA = server_sum.get(w, (0.0, 0.0))
+                server_sum[w] = (sB + dB, sA + dA)
+        for w, (sB, sA) in server_sum.items():
+            ad = server_ads[w]
+            ad.B, ad.A = ad.B - config.learning_rate * sB / C, ad.A - config.learning_rate * sA / C
+
+        aggregated = t % config.agg_period == 0
+        if aggregated:
+            agg_seed = derive_seed(seed, "agg", t)
+            for w in wids:
+                holders = [c for c in range(C) if w in client_ads[c]]
+                if not holders:
+                    continue
+                n_total = config.shard_size * len(holders)
+                scale = config.shard_size / n_total if config.agg_mode == "weighted" else 1.0
+                params.attn[w] = params.attn[w] + sum(scale * client_ads[c][w].B @ client_ads[c][w].A
+                                                      for c in holders)
+                for c in holders:
+                    client_ads[c][w] = new_adapter(w, client_ads[c][w].r, d, d,
+                                                   derive_seed(agg_seed, "reinit", c, w.block, w.kind))
+        last_nums = nums
+        rounds.append({
+            "t": t, "split_j": j, "client_ranks": cas, "server_ranks": sas, "global_importance": ig_j,
+            "delta_I": delta_I, "tau": tau, "aggregated": aggregated, "replan_reason": reason,
+            "infeasible_clients": [c for c in range(C) if cb[c] < per_block * j], "losses": losses,
+            "base": dict(params.attn),
+            "client_adapters": [{w: (ad.B, ad.A) for w, ad in ads.items()} for ads in client_ads],
+            "server_adapters": {w: (ad.B, ad.A) for w, ad in server_ads.items()},
+        })
+    return rounds

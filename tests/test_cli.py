@@ -5,6 +5,8 @@ import pytest
 
 from splitft import net, orchestrator
 from splitft.cli import main
+from splitft.config import parse_config
+from splitft.metrics import ranks_string
 
 
 def test_run_twice_gives_byte_identical_csv(tmp_path, capsys):
@@ -25,6 +27,29 @@ def test_run_seed_flag_overrides_config(tmp_path):
     main(["run", "--config", str(cfg), "--out", str(a)])
     main(["run", "--config", str(cfg), "--seed", "8", "--out", str(b)])
     assert a.read_bytes() != b.read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "n_clients = 5\nseed = 9\n",
+    "n_blocks = 4\nn_clients = 4\nclient_budget = uniform:500,5000\nserver_budget = fixed:2500\nseed = 6\n",
+])
+def test_plan_prints_what_round_one_plans(text, tmp_path, capsys):
+    """``splitft plan --config`` and round 1 of a run plan alike: the same
+    split, I_g and ranks on every side, and the same infeasible clients."""
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    assert main(["plan", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cfg = parse_config(str(path))
+    budgets, server_budget = orchestrator.round_budgets(cfg, 1)
+    rep = orchestrator.run_round(orchestrator.init_state(cfg), 1)
+    assert lines[:2] == [f"split_j = {rep.split_j}", f"I_g = {rep.global_importance:.17g}"]
+    assert lines[2:-1] == [
+        f"client {cid} (budget {budgets[cid]:g}): {ranks_string(ranks)}"
+        + ("  (base blocks exceed budget)" if cid in rep.infeasible_clients else "")
+        for cid, ranks in sorted(rep.client_ranks.items())]
+    assert lines[-1].startswith(f"server (budget {server_budget:g}): {ranks_string(rep.server_ranks)}")
 
 
 def test_plan_prints_assignment(capsys):

@@ -75,6 +75,20 @@ def test_a_scripted_table_must_cover_every_round():
     assert parse_config_text("total_rounds = 2\nserver_budget = scripted:1=1,2=1,3=1").total_rounds == 2
 
 
+def test_a_scripted_round_named_twice_is_an_error():
+    # The last value used to win silently: this config planned with 9000.
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("total_rounds = 1\nserver_budget = scripted:1=5000,1=9000")
+    assert exc.value.errors == ["server_budget: scripted budget names round 1 twice"]
+
+
+@pytest.mark.parametrize("spec", ["uniform:1", "uniform:1,2,3"])
+def test_a_uniform_budget_needs_two_bounds(spec):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(f"client_budget = {spec}")
+    assert exc.value.errors == [f"client_budget: expected uniform:<lo>,<hi>, got {spec!r}"]
+
+
 def test_unknown_key_is_an_error():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("learning_rte = 1.0")

@@ -355,7 +355,7 @@ def test_grouped_server_pass_equals_per_client_passes(shape, n_clients):
     rng = np.random.default_rng(n_clients)
     for j in range(1, cfg.n_blocks):
         split = SplitPoint(j)
-        server_wids = [w for w in sorted(params.attn, key=WeightId.sort_key) if not split.client_side(w)]
+        server_wids = [w for w in sorted(params.attn, key=WeightId.position) if not split.client_side(w)]
         s_ads = {}
         for i, wid in enumerate(server_wids[:-1]):  # mixed ranks; the last weight has no adapter
             ad = lora.new_adapter(wid, (1, 2, 3, 5)[i % 4], d, d, derive_seed(14, j, i))

@@ -365,7 +365,7 @@ def test_remote_client_rejects_frames_that_do_not_fit_the_round(bad):
         wire.WireMessage(wire.BARRIER, round=t + (bad == "barrier-round"), client_id=cid, matrices=(numerators,)),
         *(wire.WireMessage(wire.ADAPTER_UPLOAD, client_id=cid, weight_id=wid, n_samples=n_samples,
                            matrices=(np.ones((d // (1 + (bad == "upload-width")), r)), matrix((r, d), 1.0, "upload-nan")))
-          for wid, r in sorted(uploaded.items(), key=lambda item: WeightId.sort_key(item[0]))),
+          for wid, r in sorted(uploaded.items(), key=lambda item: item[0].position())),
     ]
     ours, theirs = socket.socketpair()
     with ours, theirs:

@@ -492,6 +492,60 @@ def test_plan_round_matches_the_naive_planner_every_round(data, n_blocks, n_clie
     assert seen[dip - 1][2][3] == "infeasible"
 
 
+def _agree(a, b, rel=1e-10):
+    """a and b agree to ``rel`` of the larger magnitude in b: entrywise
+    relative error would flag entries that are near-cancelled sums."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= rel * np.max(np.abs(b), initial=0.0)
+
+
+def _assert_same_adapters(held, want):
+    assert held.keys() == want.keys()
+    for wid, (B, A) in want.items():
+        assert _agree(held[wid].B, B) and _agree(held[wid].A, A), wid
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n_blocks=st.integers(2, 4), n_clients=st.integers(1, 5), rounds=st.integers(2, 4),
+       agg_period=st.integers(1, 3), lanes=st.booleans(), seed=st.integers(0, 999))
+def test_a_whole_run_matches_the_naive_session(data, n_blocks, n_clients, rounds, agg_period, lanes, seed):
+    """Every round of ``run_round`` against ``reference.naive_session``:
+    plans and ranks equal, and losses, base weights and every adapter within
+    1e-10 relative. Clients run in two lanes or, below the size gate, in
+    groups of 1-3; budgets leave some sides infeasible in some rounds, and a
+    tiny tau0 lets the threshold trigger move the split."""
+    batch = data.draw(st.integers(1, 2))
+    mc = ModelConfig(n_blocks=n_blocks, d_model=8, n_heads=2, vocab_size=8, seq_len=4)
+    unit, per_block = 3.0 * 2 * mc.d_model, batch * mc.seq_len * mc.d_model
+    lo = per_block * data.draw(st.floats(0.5, n_blocks)) + unit * data.draw(st.floats(0, 10))
+    server = per_block * data.draw(st.floats(0.5, n_blocks)) + unit * data.draw(st.floats(0, 20))
+    cfg = ExperimentConfig(
+        model=mc, n_clients=n_clients, total_rounds=rounds, agg_period=agg_period, batch=batch, shard_size=3,
+        rank_set=tuple(sorted(data.draw(st.sets(st.sampled_from((1, 2, 4, 8)), min_size=1)))),
+        learning_rate=data.draw(st.sampled_from((0.5, 1.0))), seed=seed,
+        agg_mode=data.draw(st.sampled_from(("weighted", "sum"))), tau0=data.draw(st.sampled_from((1e-6, 0.05))),
+        client_budget=BudgetSpec("uniform", lo=lo, hi=lo + unit * data.draw(st.floats(0, 20))),
+        server_budget=BudgetSpec("fixed", value=server)).validate()
+    entries = batch * mc.seq_len * mc.d_model
+    gate = 0 if lanes else entries * data.draw(st.integers(1, 3))
+
+    state = init_state(cfg)
+    with mock.patch.object(orchestrator, "PARALLEL_MIN_ENTRIES", gate):
+        for want in reference.naive_session(cfg):
+            rep = run_round(state, want["t"])
+            for name in ("split_j", "client_ranks", "server_ranks", "infeasible_clients", "replan_reason",
+                         "aggregated"):
+                assert getattr(rep, name) == want[name], name
+            assert _agree(rep.tau, want["tau"]) and _agree(rep.global_importance, want["global_importance"])
+            assert abs(rep.delta_I - want["delta_I"]) <= 1e-10 * max(abs(want["delta_I"]), rep.global_importance)
+            assert rep.losses.keys() == want["losses"].keys()
+            assert all(_agree(rep.losses[c], loss) for c, loss in want["losses"].items())
+            assert all(_agree(state.params.attn[wid], W) for wid, W in want["base"].items())
+            for end, ads in zip(state.clients, want["client_adapters"]):
+                _assert_same_adapters(end.adapters, ads)
+            _assert_same_adapters(state.server_adapters, want["server_adapters"])
+
+
 def test_group_sizes_give_bit_identical_runs(monkeypatch):
     # Without lanes every gate gives groups: of 1, of 2 (the last one short)
     # and of all 5 clients. Server adapter gradients are summed across groups
@@ -558,7 +612,7 @@ def test_finish_reinits_exactly_the_merged_weights_it_holds():
     merged = {wid: np.ones((32, 32)) for wid in (WeightId(0, "Q"), WeightId(1, "V"), WeightId(1, "O"))}
     client.finish(3, 0.0, merged)
 
-    assert sorted(client.adapters, key=WeightId.sort_key) == sorted(held, key=WeightId.sort_key)
+    assert sorted(client.adapters, key=WeightId.position) == sorted(held, key=WeightId.position)
     assert client.adapters[WeightId(0, "K")] is held[WeightId(0, "K")]  # not merged: untouched
     agg_seed = derive_seed(SMALL.seed, "agg", 3)
     for wid in (WeightId(0, "Q"), WeightId(1, "V")):

@@ -71,14 +71,16 @@ def _module(script):
     return module
 
 
+def _canned_runs(name, pairs):
+    return [tuple({"correct": True, "failed": 0, "metrics": {name: {"value": v}}} for v in pair) for pair in pairs]
+
+
 def test_ab_pairs_appends_one_bench_entry_per_run(tmp_path):
     """The trajectory writer on a canned comparison: no benchmark runs."""
     ab = _module("ab_pairs.py")
     metrics = [{"name": "round_ms", "better": "lower", "bound": 0.25}]
     pairs = [(10.0, 9.0), (12.0, 11.0), (11.0, 12.0), (13.0, 10.0), (9.0, 9.5)]
-    runs = [tuple({"correct": True, "failed": 0, "metrics": {"round_ms": {"value": v}}} for v in pair)
-            for pair in pairs]
-    ok, table = ab.report("mid", runs, metrics, set())
+    ok, table = ab.report("mid", _canned_runs("round_ms", pairs), metrics, set())
     assert ok
     row = table["round_ms"]
     for side, values in (("parent", [p for p, _ in pairs]), ("tree", [t for _, t in pairs])):
@@ -92,6 +94,21 @@ def test_ab_pairs_appends_one_bench_entry_per_run(tmp_path):
     for entry in entries:
         ab.append_bench(path, entry)
     assert json.loads(path.read_text()) == entries
+
+
+def test_ab_pairs_labels_a_bound_wider_than_its_parent_spread_unresolved():
+    """A parent spread (Q3 - Q1) / median of 0.4 against a bound of 0.25:
+    a median inside the bound is unresolved unless every tree run beats
+    every parent run. The label does not change pass or fail."""
+    ab = _module("ab_pairs.py")
+    metrics = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+    parent = [6.0, 8.0, 10.0, 12.0, 14.0]  # Q1 8, median 10, Q3 12
+    ok, table = ab.report("mid", _canned_runs("setup_s", zip(parent, [7.0, 9.0, 11.0, 10.0, 12.0])), metrics, set())
+    assert ok and table["setup_s"]["verdict"] == "unresolved (parent spread 0.4 > bound); bound 0.25 ok"
+    ok, table = ab.report("mid", _canned_runs("setup_s", zip(parent, [13.0, 14.0, 15.0, 13.0, 14.0])), metrics, set())
+    assert not ok and table["setup_s"]["verdict"] == "unresolved (parent spread 0.4 > bound); bound 0.25 BREACH"
+    ok, table = ab.report("mid", _canned_runs("setup_s", zip(parent, [5.0, 4.0, 3.0, 5.5, 4.5])), metrics, set())
+    assert ok and table["setup_s"]["verdict"] == "bound 0.25 ok"  # every tree run beats every parent run
 
 
 def test_ab_pairs_names_the_commit_it_measured(tmp_path):

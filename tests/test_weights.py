@@ -13,7 +13,7 @@ def test_weight_id_validation():
 def test_weight_id_string_and_sort_order():
     assert str(WeightId(3, "V")) == "b3.V"
     wids = [WeightId(1, "Q"), WeightId(0, "O"), WeightId(0, "Q")]
-    assert sorted(wids, key=WeightId.sort_key) == [
+    assert sorted(wids, key=WeightId.position) == [
         WeightId(0, "Q"), WeightId(0, "O"), WeightId(1, "Q"),
     ]
 
@@ -41,4 +41,4 @@ def test_all_weight_ids_count_and_order():
     assert len(wids) == 12
     assert wids[0] == WeightId(0, "Q")
     assert wids[-1] == WeightId(2, "O")
-    assert wids == sorted(wids, key=WeightId.sort_key)
+    assert wids == sorted(wids, key=WeightId.position)
