@@ -10,9 +10,11 @@ For every workload and end-to-end metric of BENCHMARK.json it prints the
 median and quartiles of each side, the change of the median and the number
 of pairs the tree won. A metric named with ``--claim`` gets the gain rule:
 it must win at least 9 in 10 pairs and its median must beat the parent's by
-more than the parent's quartile spread (Q3 - Q1). Every other metric gets the
-bound check: its median may be worse than the parent's by at most the
-metric's relative bound. When the parent's own spread, (Q3 - Q1) / median,
+more than the parent's quartile spread (Q3 - Q1). A claim that is not
+WORKLOAD:METRIC, for a workload being run and an end-to-end metric of
+BENCHMARK.json, ends the script with status 2 before any run. Every other
+metric gets the bound check: its median may be worse than the parent's by
+at most the metric's relative bound. When the parent's own spread, (Q3 - Q1) / median,
 is wider than that bound, a median inside the bound shows little, so unless
 every tree run beats every parent run the verdict is labelled
 ``unresolved``; whether it passes is still the bound check. Runs that print
@@ -132,6 +134,14 @@ def main() -> int:
 
     bench = json.loads((TREE / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    claims = {w: set() for w in workloads}
+    for claim in args.claim:
+        w, colon, metric = claim.partition(":")
+        if not colon or w not in claims or metric not in metrics:
+            ap.error(f"--claim {claim!r}: expected WORKLOAD:METRIC, a workload of {workloads} "
+                     f"and an end-to-end metric of {metrics}")
+        claims[w].add(metric)
     commits = {"commit": git_commit(TREE), "parent": git_commit(args.parent)}
     results = {w: [] for w in workloads}
     csv_diffs, failed = [], []
@@ -165,13 +175,12 @@ def main() -> int:
     if failed:
         print("Pairs with a failed run:", ", ".join(failed))
     for w in workloads:
-        claims = {c.split(":", 1)[1] for c in args.claim if c.split(":", 1)[0] == w}
-        passed, table = report(w, results[w], bench["end_to_end"], claims)
+        passed, table = report(w, results[w], bench["end_to_end"], claims[w])
         passed &= not any(bad.startswith(f"{w} seed ") for bad in csv_diffs + failed)
         ok &= passed
         append_bench(TREE / f"BENCH_{w}.json", {
             **commits, "seeds": list(range(args.seed, args.seed + args.pairs)), "seconds": args.seconds,
-            "pairs": len(results[w]), "claims": sorted(claims), "metrics": table,
+            "pairs": len(results[w]), "claims": sorted(claims[w]), "metrics": table,
             "verdict": "pass" if passed else "fail"})
     return 0 if ok else 1
 

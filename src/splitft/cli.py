@@ -23,13 +23,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import aggregation, lora, model, net, orchestrator, planner
+from . import aggregation, lora, model, net, orchestrator
 from .aggregation import AdapterUpload, RankMismatchError
 from .config import BudgetSpec, ConfigError, ExperimentConfig, parse_config
 from .importance import ImportanceTable
 from .linalg import derive_seed
 from .metrics import emit_csv, ranks_string
-from .planner import RankSet
 from .weights import SplitPoint, WeightId, all_weight_ids
 
 
@@ -112,9 +111,7 @@ def cmd_plan(args) -> int:
     if args.importance:
         table.update_round(_parse_importance(args.importance, config.model.n_blocks), 1)
 
-    plan = planner.select_split(
-        config.model.split_points(), budgets, server_budget, table, RankSet(config.rank_set), config.cost_model()
-    )
+    plan = orchestrator.plan_round(config, table, None, (budgets, server_budget))[0]
     print(f"split_j = {plan.split.j}")
     print(f"I_g = {plan.global_importance:.17g}")
     for cid in sorted(plan.client_assignments):

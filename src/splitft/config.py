@@ -124,30 +124,36 @@ class ExperimentConfig:
         )
 
 
+_BUDGET_FORMS = {"fixed": "fixed:<value>", "uniform": "uniform:<lo>,<hi>", "scripted": "scripted:<round>=<budget>,..."}
+
+
 def _parse_budget(text: str) -> BudgetSpec:
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    if kind == "fixed":
-        return BudgetSpec("fixed", value=float(rest))
-    if kind == "uniform":
-        bounds = rest.split(",")
-        if len(bounds) != 2:
-            raise ValueError(f"expected uniform:<lo>,<hi>, got {text.strip()!r}")
-        lo, hi = map(float, bounds)
-        return BudgetSpec("uniform", lo=lo, hi=hi)
-    if kind == "scripted":
-        table = {}
-        for entry in rest.split(","):
-            rnd, _, val = entry.partition("=")
-            if int(rnd) in table:
-                raise ValueError(f"scripted budget names round {int(rnd)} twice")
-            table[int(rnd)] = float(val)
-        return BudgetSpec("scripted", table=table)
-    raise ValueError(f"unknown budget kind {kind!r} (expected fixed|uniform|scripted)")
+    if kind not in _BUDGET_FORMS:
+        raise ValueError(f"unknown budget kind {kind!r} (expected {'|'.join(_BUDGET_FORMS)})")
+    try:
+        if kind == "fixed":
+            return BudgetSpec("fixed", value=float(rest))
+        if kind == "uniform":
+            lo, hi = map(float, rest.split(","))
+            return BudgetSpec("uniform", lo=lo, hi=hi)
+        entries = [(int(rnd), float(val)) for rnd, val in (entry.split("=") for entry in rest.split(","))]
+    except ValueError:
+        raise ValueError(f"expected {_BUDGET_FORMS[kind]}, got {text.strip()!r}") from None
+    table = {}
+    for rnd, val in entries:
+        if rnd in table:
+            raise ValueError(f"scripted budget names round {rnd} twice")
+        table[rnd] = val
+    return BudgetSpec("scripted", table=table)
 
 
 def _parse_ranks(text: str) -> tuple[int, ...]:
-    return tuple(int(r) for r in text.split(","))
+    try:
+        return tuple(int(r) for r in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected <rank>,<rank>,..., got {text!r}") from None
 
 
 # One parser per type a ModelConfig or ExperimentConfig field declares.

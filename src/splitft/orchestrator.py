@@ -30,7 +30,9 @@ Base weights change only through the aggregation merge.
 The validated ``ExperimentConfig`` is the one source of a round's inputs:
 ``round_budgets`` draws every side's budget for round t from it (``cli
 plan`` draws round 1 the same way), and ``plan_round`` reads the split
-candidates, rank set and cost model from it each round. ``budget_trace``
+candidates, rank set and cost model from it. Planning is that one pure
+call, shared by every round and ``splitft plan``; ``run_round`` blends last
+round's numerators into the table before it plans. ``budget_trace``
 trusts a spec that ``ExperimentConfig.validate`` has checked.
 ``ExperimentState`` holds only what one round leaves to the next: the last
 ``RoundReport`` is the carry, so the current split, the previous tau and
@@ -258,20 +260,20 @@ def round_budgets(config: ExperimentConfig, t: int) -> Budgets:
     return cb, sb
 
 
-def plan_round(state: ExperimentState, t: int, budgets: Budgets) -> tuple[RoundPlan, float, float, str]:
-    """Returns (plan, delta_I, tau, reason) under the round's budgets, from
-    the last report's split and tau; the reason is "" for a rank-only re-fit
-    and names the cause of a re-selection. One ``planner.plan_splits`` call
-    plans every candidate split; delta_I, the rank-only re-fit and a
-    re-selection all read those plans."""
-    config, last = state.config, state.last
-    cm, rank_set = config.cost_model(), RankSet(config.rank_set)
-
-    if t > 1 and state.last_numerators:
-        state.table.update_round(state.last_numerators, t)
-    plans = planner.plan_splits(config.model.split_points(), *budgets, state.table, rank_set, cm)
+def plan_round(config: ExperimentConfig, table: ImportanceTable, last: RoundReport | None,
+               budgets: Budgets) -> tuple[RoundPlan, float, float, str]:
+    """Returns (plan, delta_I, tau, reason) for the round after ``last``
+    under ``budgets``, from the blended importances in ``table``; a pure
+    call that changes none of its arguments. With ``last`` None it is round
+    1's split selection (tau0, reason "initial"), which ``splitft plan``
+    makes through this same call. Otherwise the reason is "" for a rank-only
+    re-fit of the last split and names the cause of a re-selection, and one
+    ``planner.plan_splits`` call plans every candidate split: delta_I, the
+    re-fit and a re-selection all read those plans."""
+    cm, rank_set, splits = config.cost_model(), RankSet(config.rank_set), config.model.split_points()
     if last is None:
-        return planner.best_plan(plans.values()), 0.0, config.tau0, "initial"
+        return planner.select_split(splits, *budgets, table, rank_set, cm), 0.0, config.tau0, "initial"
+    plans = planner.plan_splits(splits, *budgets, table, rank_set, cm)
 
     current = SplitPoint(last.split_j)
     rank_only = plans[current]
@@ -407,8 +409,10 @@ def run_round(state: ExperimentState, t: int, round_delta=None) -> RoundReport:
     config, ends, prev = state.config, state.clients, state.last
 
     # (1) importance refresh + planning
+    if state.last_numerators:
+        state.table.update_round(state.last_numerators, t)
     budgets = round_budgets(config, t)
-    plan, delta_I, tau, reason = plan_round(state, t, budgets)
+    plan, delta_I, tau, reason = plan_round(config, state.table, prev, budgets)
     _check_budgets(state, plan, budgets)
     state.server_adapters = _reconcile_adapters(
         state.server_adapters, plan.server_assignment, config.model.d_model, (config.seed, "adapter", t, -1)
@@ -447,16 +451,16 @@ def run_round(state: ExperimentState, t: int, round_delta=None) -> RoundReport:
     for cid, end in enumerate(ends):
         end.finish(t, losses[cid], merged)
 
-    client_ranks = (prev.client_ranks if prev and prev.client_ranks == plan.client_assignments
-                    else {cid: dict(a) for cid, a in plan.client_assignments.items()})
-    server_ranks = (prev.server_ranks if prev and prev.server_ranks == plan.server_assignment
-                    else dict(plan.server_assignment))
+    # The plan is dropped here, so the report holds its rank mappings, or
+    # the previous report's when they are equal.
     state.last = RoundReport(
         t=t,
         losses=losses,
         split_j=plan.split.j,
-        client_ranks=client_ranks,
-        server_ranks=server_ranks,
+        client_ranks=(prev.client_ranks if prev and prev.client_ranks == plan.client_assignments
+                      else plan.client_assignments),
+        server_ranks=(prev.server_ranks if prev and prev.server_ranks == plan.server_assignment
+                      else plan.server_assignment),
         global_importance=plan.global_importance,
         delta_I=delta_I,
         tau=tau,

@@ -233,14 +233,15 @@ def naive_session(config):
     step on the client-averaged gradient, the sum over uploads of
     (n_i/N) B_i A_i (or B_i A_i for ``agg_mode`` sum) merged into the base
     every ``agg_period`` rounds, and the merged adapters re-initialized.
-    Only NAA aggregation is covered.
+    With ``aggregator`` "haa" and a one-rank ``rank_set`` the merge adds
+    mean(B_i) @ mean(A_i) over the weight's holders instead.
 
     Returns one dict per round: the plan fields a ``RoundReport`` carries,
     the losses, and the base weights and every side's adapters, as (B, A),
     at the end of the round.
     """
-    if config.aggregator != "naa":
-        raise ValueError("naive_session covers NAA aggregation only")
+    if config.aggregator == "haa" and len(config.rank_set) != 1:
+        raise ValueError("naive_session covers HAA with a one-rank rank_set only")
     mc, seed = config.model, config.seed
     d, n_blocks, C = mc.d_model, mc.n_blocks, config.n_clients
     unit = config.kappa_opt * 2 * d
@@ -308,10 +309,15 @@ def naive_session(config):
                 holders = [c for c in range(C) if w in client_ads[c]]
                 if not holders:
                     continue
-                n_total = config.shard_size * len(holders)
-                scale = config.shard_size / n_total if config.agg_mode == "weighted" else 1.0
-                params.attn[w] = params.attn[w] + sum(scale * client_ads[c][w].B @ client_ads[c][w].A
-                                                      for c in holders)
+                if config.aggregator == "haa":
+                    mean_B = sum(client_ads[c][w].B for c in holders) / len(holders)
+                    mean_A = sum(client_ads[c][w].A for c in holders) / len(holders)
+                    params.attn[w] = params.attn[w] + mean_B @ mean_A
+                else:
+                    n_total = config.shard_size * len(holders)
+                    scale = config.shard_size / n_total if config.agg_mode == "weighted" else 1.0
+                    params.attn[w] = params.attn[w] + sum(scale * client_ads[c][w].B @ client_ads[c][w].A
+                                                          for c in holders)
                 for c in holders:
                     client_ads[c][w] = new_adapter(w, client_ads[c][w].r, d, d,
                                                    derive_seed(agg_seed, "reinit", c, w.block, w.kind))

@@ -82,11 +82,24 @@ def test_a_scripted_round_named_twice_is_an_error():
     assert exc.value.errors == ["server_budget: scripted budget names round 1 twice"]
 
 
-@pytest.mark.parametrize("spec", ["uniform:1", "uniform:1,2,3"])
+@pytest.mark.parametrize("spec", ["uniform:1", "uniform:1,2,3", "uniform:a,2"])
 def test_a_uniform_budget_needs_two_bounds(spec):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(f"client_budget = {spec}")
     assert exc.value.errors == [f"client_budget: expected uniform:<lo>,<hi>, got {spec!r}"]
+
+
+@pytest.mark.parametrize("line, error", [
+    ("server_budget = scripted:1", "server_budget: expected scripted:<round>=<budget>,..., got 'scripted:1'"),
+    ("server_budget = scripted:x=5", "server_budget: expected scripted:<round>=<budget>,..., got 'scripted:x=5'"),
+    ("server_budget = scripted:1=5=6", "server_budget: expected scripted:<round>=<budget>,..., got 'scripted:1=5=6'"),
+    ("client_budget = fixed:", "client_budget: expected fixed:<value>, got 'fixed:'"),
+    ("rank_set = 1,,2", "rank_set: expected <rank>,<rank>,..., got '1,,2'"),
+])
+def test_a_malformed_value_names_its_expected_form(line, error):
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(line)
+    assert exc.value.errors == [error]
 
 
 def test_unknown_key_is_an_error():
@@ -149,7 +162,7 @@ def test_key_errors_keep_their_messages():
         "line 2: duplicate key 'seed'",
         "line 3: unknown key 'learning_rte'",
         "line 4: expected 'key = value', got 'just words'",
-        "rank_set: invalid literal for int() with base 10: 'two'",
+        "rank_set: expected <rank>,<rank>,..., got '1,two'",
         "batch: invalid literal for int() with base 10: '1.5'",
         "client_budget: unknown budget kind 'sometimes' (expected fixed|uniform|scripted)",
         "line 8: unknown key 'model'",

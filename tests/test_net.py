@@ -405,6 +405,44 @@ def test_remote_client_takes_the_batch_from_n_samples(n_samples):
                 end.forward(SplitPoint(1), {WeightId(0, "Q"): 4}, 1)
 
 
+def _real_ends(cid):
+    """A free port, and ``net.serve`` of a SHORT session on it and
+    ``net.run_client`` of client ``cid``, as unstarted daemon threads
+    (server first); what either raises lands in the returned outcome dict
+    under "server" or "client"."""
+    port, outcome = _free_port(), {}
+
+    def end(key, fn, *args):
+        try:
+            fn(SHORT, *args)
+        except Exception as e:
+            outcome[key] = e
+
+    return port, [threading.Thread(target=end, args=("server", net.serve, HOST, port), name="server", daemon=True),
+                  threading.Thread(target=end, args=("client", net.run_client, cid, HOST, port),
+                                   name=f"client-{cid}", daemon=True)], outcome
+
+
+def _raw_client_0_reads_its_plan(sock, client):
+    """Client 0's hello on a raw socket, then ``client`` started beside it,
+    then the PLAN the server sends client 0."""
+    sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=0)))
+    client.start()
+    plan = wire.decode_message(_read_any(sock))
+    assert (plan.tag, plan.client_id) == (wire.PLAN, 0)
+
+
+def _assert_both_ended(threads, outcome, error, named, beside):
+    """Every thread ends within 10 s, the server with ``error`` whose text
+    holds ``named``, and the real client with a wire or socket error."""
+    for th in threads:
+        th.join(timeout=10)
+        assert not th.is_alive(), f"{th.name} still running {beside}"
+    assert isinstance(outcome.get("server"), error), outcome.get("server")
+    assert named in str(outcome["server"])
+    assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")
+
+
 @pytest.mark.parametrize("fault, error", [
     ("close-after-plan", wire.TruncatedError),
     ("truncated-activations", wire.TruncatedError),
@@ -415,46 +453,21 @@ def test_serve_ends_with_a_named_error_when_a_peer_misbehaves(fault, error):
     """A raw-socket client 0 misbehaves in round 1 beside a real client 1:
     ``serve`` ends with the named error within a bounded time, and closing
     its sockets ends client 1 too."""
-    cfg = SHORT
-    port = _free_port()
-    outcome = {}
-
-    def server():
-        try:
-            net.serve(cfg, HOST, port)
-        except Exception as e:
-            outcome["server"] = e
-
-    def client():
-        try:
-            net.run_client(cfg, 1, HOST, port)  # started once the server listens
-        except Exception as e:
-            outcome["client"] = e
-
-    threads = [threading.Thread(target=server, name="server", daemon=True),
-               threading.Thread(target=client, name="client-1", daemon=True)]
+    port, threads, outcome = _real_ends(1)
     threads[0].start()
-    rows, d = cfg.batch * cfg.model.seq_len, cfg.model.d_model
+    rows, d = SHORT.batch * SHORT.model.seq_len, SHORT.model.d_model
     with net.connect(HOST, port) as sock:
-        sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=0)))
-        threads[1].start()
-        plan = wire.decode_message(_read_any(sock))
-        assert (plan.tag, plan.client_id) == (wire.PLAN, 0)
+        _raw_client_0_reads_its_plan(sock, threads[1])  # client 1 starts once the server listens
         acts = np.full((rows, d // 2 if fault == "narrow-activations" else d),
                        np.nan if fault == "nan-activations" else 0.5)
-        frame = wire.encode_message(wire.WireMessage(wire.ACTIVATIONS, client_id=0, n_samples=cfg.batch,
+        frame = wire.encode_message(wire.WireMessage(wire.ACTIVATIONS, client_id=0, n_samples=SHORT.batch,
                                                      matrices=(acts,)))
         if fault == "truncated-activations":
             sock.sendall(frame[:len(frame) // 2])
         elif fault in ("nan-activations", "narrow-activations"):
             sock.sendall(frame)
             threads[0].join(timeout=10)  # the frame is whole; only its entries or shape can end the session
-    for th in threads:
-        th.join(timeout=10)
-        assert not th.is_alive(), f"{th.name} still running after a {fault} peer"
-    assert isinstance(outcome.get("server"), error), outcome.get("server")
-    assert "client 0" in str(outcome["server"])
-    assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")
+    _assert_both_ended(threads, outcome, error, "client 0", f"after a {fault} peer")
 
 
 @pytest.mark.parametrize("bad", [None, "agg-update-nan", "agg-update-unknown-block", "cut-grad-shape",
@@ -654,36 +667,12 @@ def test_a_silent_peer_ends_the_session_within_the_peer_timeout(monkeypatch):
     connected and silent beside a real client 1: ``serve`` ends with a
     ``ProtocolError`` naming client 0, and client 1 ends too."""
     monkeypatch.setattr(net, "PEER_TIMEOUT_S", 0.5)
-    cfg = SHORT
-    port = _free_port()
-    outcome = {}
-
-    def server():
-        try:
-            net.serve(cfg, HOST, port)
-        except Exception as e:
-            outcome["server"] = e
-
-    def client():
-        try:
-            net.run_client(cfg, 1, HOST, port)
-        except Exception as e:
-            outcome["client"] = e
-
-    threads = [threading.Thread(target=server, name="server", daemon=True),
-               threading.Thread(target=client, name="client-1", daemon=True)]
+    port, threads, outcome = _real_ends(1)
     threads[0].start()
     with net.connect(HOST, port) as sock:
-        sock.sendall(wire.encode_message(wire.WireMessage(wire.BARRIER, round=0, client_id=0)))
-        threads[1].start()
-        plan = wire.decode_message(_read_any(sock))
-        assert (plan.tag, plan.client_id) == (wire.PLAN, 0)
-        for th in threads:  # client 0 stays connected throughout
-            th.join(timeout=10)
-            assert not th.is_alive(), f"{th.name} still running beside a silent peer"
-    assert isinstance(outcome.get("server"), net.ProtocolError), outcome.get("server")
-    assert "client 0" in str(outcome["server"])
-    assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")
+        _raw_client_0_reads_its_plan(sock, threads[1])
+        # client 0 stays connected throughout
+        _assert_both_ended(threads, outcome, net.ProtocolError, "client 0", "beside a silent peer")
 
 
 def test_a_peer_that_drips_a_frame_ends_within_the_peer_timeout(monkeypatch):
@@ -782,29 +771,8 @@ def test_serve_names_the_clients_that_never_connect(monkeypatch):
     """Only client 0 of two connects: ``serve`` ends within the peer timeout
     with a ``ProtocolError`` naming client 1, and client 0 ends too."""
     monkeypatch.setattr(net, "PEER_TIMEOUT_S", 0.5)
-    cfg = SHORT
-    port = _free_port()
-    outcome = {}
-
-    def server():
-        try:
-            net.serve(cfg, HOST, port)
-        except Exception as e:
-            outcome["server"] = e
-
-    def client():
-        try:
-            net.run_client(cfg, 0, HOST, port)
-        except Exception as e:
-            outcome["client"] = e
-
-    threads = [threading.Thread(target=server, name="server", daemon=True),
-               threading.Thread(target=client, name="client-0", daemon=True)]
+    _, threads, outcome = _real_ends(0)
     for th in threads:
         th.start()
-    for th in threads:
-        th.join(timeout=10)
-        assert not th.is_alive(), f"{th.name} still running while client 1 never connects"
-    assert isinstance(outcome.get("server"), net.ProtocolError), outcome.get("server")
-    assert "clients [1] did not connect" in str(outcome["server"])
-    assert isinstance(outcome.get("client"), (wire.WireError, OSError)), outcome.get("client")
+    _assert_both_ended(threads, outcome, net.ProtocolError, "clients [1] did not connect",
+                       "while client 1 never connects")

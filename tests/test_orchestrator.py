@@ -1,3 +1,4 @@
+import copy
 import io
 import sys
 import threading
@@ -173,21 +174,38 @@ def test_round_reports_are_lean():
             assert rep.ppls[cid] == model.perplexity(loss)
 
 
-def test_report_ranks_are_copies_of_the_plan(monkeypatch):
+def test_report_ranks_are_the_plans_own_mappings(monkeypatch):
     plan_round, plans = orchestrator.plan_round, []
 
-    def recording(*args):
-        out = plan_round(*args)
+    def recording(config, table, last, budgets):
+        out = plan_round(config, table, last, budgets)
         plans.append(out[0])
         return out
 
     monkeypatch.setattr(orchestrator, "plan_round", recording)
     rep = run_round(init_state(SMALL), 1)
     plan, = plans
-    for cid, a in plan.client_assignments.items():
-        assert rep.client_ranks[cid] == a and rep.client_ranks[cid] is not a
-    assert rep.server_ranks == plan.server_assignment
-    assert rep.server_ranks is not plan.server_assignment
+    assert rep.client_ranks is plan.client_assignments
+    assert rep.server_ranks is plan.server_assignment
+
+
+def test_plan_round_is_a_pure_call():
+    """Twice on the same inputs, at round 1 and at a later round whose table
+    holds blended values: equal results both times, and the table, the
+    last report and the budgets are left as they were."""
+    cfg = replace(SMALL, tau0=1e-6)
+    state = init_state(cfg)
+    for t in range(1, 4):
+        run_round(state, t)
+    state.table.update_round(state.last_numerators, 4)
+    fresh = importance.ImportanceTable.for_model(cfg.model.n_blocks, cfg.total_rounds)
+    for table, last, t in ((fresh, None, 1), (state.table, state.last, 4)):
+        budgets = orchestrator.round_budgets(cfg, t)
+        before = copy.deepcopy((table, last, budgets))
+        first = orchestrator.plan_round(cfg, table, last, budgets)
+        assert orchestrator.plan_round(cfg, table, last, budgets) == first
+        assert (table, last, budgets) == before
+    assert any(state.table.blended(w) != fresh.blended(w) for w in all_weight_ids(cfg.model.n_blocks))
 
 
 def test_each_report_carries_the_round_to_the_next():
@@ -461,9 +479,9 @@ def test_plan_round_matches_the_naive_planner_every_round(data, n_blocks, n_clie
 
     plan_round, seen = orchestrator.plan_round, []
 
-    def recording(state, t, budgets):
-        out = plan_round(state, t, budgets)
-        seen.append((budgets, {w: state.table.blended(w) for w in all_weight_ids(n_blocks)}, out))
+    def recording(config, table, last, budgets):
+        out = plan_round(config, table, last, budgets)
+        seen.append((budgets, {w: table.blended(w) for w in all_weight_ids(n_blocks)}, out))
         return out
 
     state = init_state(cfg)
@@ -513,15 +531,18 @@ def test_a_whole_run_matches_the_naive_session(data, n_blocks, n_clients, rounds
     plans and ranks equal, and losses, base weights and every adapter within
     1e-10 relative. Clients run in two lanes or, below the size gate, in
     groups of 1-3; budgets leave some sides infeasible in some rounds, and a
-    tiny tau0 lets the threshold trigger move the split."""
+    tiny tau0 lets the threshold trigger move the split. HAA draws, whose
+    averaged merge needs equal ranks, plan from a one-rank set."""
     batch = data.draw(st.integers(1, 2))
+    aggregator = data.draw(st.sampled_from(("naa", "haa")))
+    ranks = data.draw(st.sets(st.sampled_from((1, 2, 4, 8)), min_size=1, max_size=1 if aggregator == "haa" else 4))
     mc = ModelConfig(n_blocks=n_blocks, d_model=8, n_heads=2, vocab_size=8, seq_len=4)
     unit, per_block = 3.0 * 2 * mc.d_model, batch * mc.seq_len * mc.d_model
     lo = per_block * data.draw(st.floats(0.5, n_blocks)) + unit * data.draw(st.floats(0, 10))
     server = per_block * data.draw(st.floats(0.5, n_blocks)) + unit * data.draw(st.floats(0, 20))
     cfg = ExperimentConfig(
         model=mc, n_clients=n_clients, total_rounds=rounds, agg_period=agg_period, batch=batch, shard_size=3,
-        rank_set=tuple(sorted(data.draw(st.sets(st.sampled_from((1, 2, 4, 8)), min_size=1)))),
+        aggregator=aggregator, rank_set=tuple(sorted(ranks)),
         learning_rate=data.draw(st.sampled_from((0.5, 1.0))), seed=seed,
         agg_mode=data.draw(st.sampled_from(("weighted", "sum"))), tau0=data.draw(st.sampled_from((1e-6, 0.05))),
         client_budget=BudgetSpec("uniform", lo=lo, hi=lo + unit * data.draw(st.floats(0, 20))),

@@ -111,6 +111,22 @@ def test_ab_pairs_labels_a_bound_wider_than_its_parent_spread_unresolved():
     assert ok and table["setup_s"]["verdict"] == "bound 0.25 ok"  # every tree run beats every parent run
 
 
+@pytest.mark.parametrize("claim", ["mid:round-ms", "round_ms", "deep-hetero:round_ms", "mid:"])
+def test_ab_pairs_refuses_a_claim_it_cannot_check_before_any_run(claim, tmp_path, monkeypatch, capsys):
+    """A misspelled metric, a claim without a colon and a workload not being
+    run each end the script with status 2, naming the claim, before any pair runs."""
+    ab = _module("ab_pairs.py")
+    runs = []
+    monkeypatch.setattr(ab, "run_once", lambda *args: runs.append(args))
+    monkeypatch.setattr(sys, "argv", ["ab_pairs.py", "--parent", str(tmp_path), "--pairs", "1",
+                                      "--workloads", "mid", "net-desk", "--claim", claim])
+    with pytest.raises(SystemExit) as exc:
+        ab.main()
+    assert exc.value.code == 2
+    assert f"--claim {claim!r}: expected WORKLOAD:METRIC" in capsys.readouterr().err
+    assert runs == []
+
+
 def test_ab_pairs_names_the_commit_it_measured(tmp_path):
     ab = _module("ab_pairs.py")
     assert ab.git_commit(tmp_path / "nowhere") is None
