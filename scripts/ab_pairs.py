@@ -12,7 +12,8 @@ of pairs the tree won. A metric named with ``--claim`` gets the gain rule:
 it must win at least 9 in 10 pairs and its median must beat the parent's by
 more than the parent's quartile spread (Q3 - Q1). A claim that is not
 WORKLOAD:METRIC, for a workload being run and an end-to-end metric of
-BENCHMARK.json, ends the script with status 2 before any run. Every other
+BENCHMARK.json, ends the script with status 2 before any run, and so does a
+workload that ``splitbench/workloads.py`` does not define. Every other
 metric gets the bound check: its median may be worse than the parent's by
 at most the metric's relative bound. When the parent's own spread, (Q3 - Q1) / median,
 is wider than that bound, a median inside the bound shows little, so unless
@@ -36,6 +37,7 @@ Usage:
 """
 
 import argparse
+import importlib.util
 import json
 import statistics
 import subprocess
@@ -44,6 +46,15 @@ from pathlib import Path
 
 TREE = Path(__file__).resolve().parent.parent
 GAIN_WINS = 0.9  # share of pairs the claimed metric must win
+
+
+def workload_names() -> list[str]:
+    """The workloads ``splitbench/workloads.py`` of this tree defines."""
+    sys.path.insert(0, str(TREE / "src"))  # it builds its configs from splitft
+    spec = importlib.util.spec_from_file_location("splitbench_workloads", TREE / "splitbench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return sorted(module.BUILDERS)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -126,7 +137,7 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=45)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    ap.add_argument("--workloads", nargs="+", help="default: those of BENCHMARK.json")
+    ap.add_argument("--workloads", nargs="+", choices=workload_names(), help="default: those of BENCHMARK.json")
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
                     help="a metric the change claims to improve (repeatable)")
     ap.add_argument("--save", type=Path, help="append every run's JSON result to this file")

@@ -31,13 +31,13 @@ def main() -> int:
         )
         addr = f"127.0.0.1:{args.port}"
         server = subprocess.Popen(
-            [sys.executable, "-m", "splitft.cli", "run", "--mode", "net-server",
-             "--listen", addr, "--config", str(cfg_path), "--out", args.out]
+            [sys.executable, "-m", "splitft.cli", "run", "--listen", addr,
+             "--config", str(cfg_path), "--out", args.out]
         )
         clients = [  # each waits for the server to listen
             subprocess.Popen(
-                [sys.executable, "-m", "splitft.cli", "run", "--mode", "net-client",
-                 "--connect", addr, "--client-id", str(cid), "--config", str(cfg_path)]
+                [sys.executable, "-m", "splitft.cli", "run", "--connect", addr, "--client-id", str(cid),
+                 "--config", str(cfg_path)]
             )
             for cid in range(args.clients)
         ]

@@ -1,16 +1,18 @@
 """Command-line entry point.
 
 Subcommands:
-  run        full experiment (in-process or over TCP) emitting a metrics CSV
+  run        full experiment emitting a metrics CSV: in process, or over TCP,
+             where ``--listen`` serves the session and ``--connect`` joins it
   plan       one-shot budget/importance -> split + rank assignment inspection
   agg-check  aggregation property suites (exact concat vs. noisy averaging)
   grad-check finite-difference validation of all hand-derived gradients
 
 Every subcommand is non-interactive and returns a nonzero exit status when
 any check fails. Bad input (an unreadable or invalid config file, a bad flag
-value, a missing address, a client id outside the config, an ``--out`` path
-that cannot be written) ends the command with one ``<command>: <message>``
-on stderr and exit status 2.
+value, ``--listen`` with ``--connect``, ``--connect`` without ``--client-id``
+or ``--client-id`` without ``--connect``, a client id outside the config, an
+``--out`` path that cannot be written) ends the command with one
+``<command>: <message>`` on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -53,23 +55,21 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _load_config(args)
-    if args.mode == "net-client":
-        if args.connect is None or args.client_id is None:
-            raise UsageError("--mode net-client requires --connect host:port and --client-id")
+    if (args.connect is None) != (args.client_id is None):
+        raise UsageError("--connect host:port and --client-id are given together or not at all")
+    if args.connect is not None:
         if not 0 <= args.client_id < config.n_clients:
             raise UsageError(f"--client-id must be in [0, {config.n_clients - 1}] for n_clients = "
                              f"{config.n_clients}, got {args.client_id}")
         rounds = net.run_client(config, args.client_id, *args.connect)
         print(f"client {args.client_id} finished after {rounds} rounds")
         return 0
-    if args.mode == "net-server" and args.listen is None:
-        raise UsageError("--mode net-server requires --listen host:port")
     try:
         open(args.out, "a").close()  # a path that cannot be written fails now, not after the last round
     except OSError as e:
         raise UsageError(f"--out: {e}") from None
-    reports, summary = (net.serve(config, *args.listen) if args.mode == "net-server"
-                        else orchestrator.run_experiment(config))
+    reports, summary = (orchestrator.run_experiment(config) if args.listen is None
+                        else net.serve(config, *args.listen))
     emit_csv(reports, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     print(f"wrote {args.out}")
@@ -258,7 +258,7 @@ def grad_check_seed(seed: int, h: float, tol: float) -> float:
 def cmd_grad_check(args) -> int:
     worst = 0.0
     for seed in range(args.seeds):
-        worst = max(worst, grad_check_seed(seed, args.h, args.tol))
+        worst = max(worst, grad_check_seed(seed, h=1e-5, tol=args.tol))
     ok = worst <= args.tol
     print(f"gradient check: max relative error {worst:.3e} over {args.seeds} seeds "
           f"-> {'PASS' if ok else 'FAIL'} (<= {args.tol:g})")
@@ -275,10 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", parents=[inputs], help="run a full experiment and emit the metrics CSV")
     run.add_argument("--out", default="metrics.csv", help="metrics CSV path")
-    run.add_argument("--mode", choices=("sim", "net-server", "net-client"), default="sim")
-    run.add_argument("--listen", type=_parse_address, help="host:port to serve on (net-server)")
-    run.add_argument("--connect", type=_parse_address, help="host:port to connect to (net-client)")
-    run.add_argument("--client-id", type=int, help="this client's id (net-client)")
+    address = run.add_mutually_exclusive_group()
+    address.add_argument("--listen", type=_parse_address, metavar="HOST:PORT", help="serve the session on host:port")
+    address.add_argument("--connect", type=_parse_address, metavar="HOST:PORT",
+                         help="join the session at host:port as --client-id")
+    run.add_argument("--client-id", type=int, help="this client's id (with --connect)")
     run.set_defaults(func=cmd_run)
 
     plan = sub.add_parser("plan", parents=[inputs], help="print the split/rank plan for given budgets")
@@ -294,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     grad = sub.add_parser("grad-check", help="finite-difference gradient validation")
     grad.add_argument("--seeds", type=int, default=20)
-    grad.add_argument("--h", type=float, default=1e-5)
     grad.add_argument("--tol", type=float, default=1e-4)
     grad.set_defaults(func=cmd_grad_check)
     return p

@@ -81,9 +81,9 @@ SHUTDOWN_ROUND = 0xFFFFFFFF
 # Longest wait for a peer's next frame or for a server to listen. The longest
 # legitimate silences are a client started before its server, and one waiting
 # for its first PLAN while the server accepts clients still being started,
-# possibly by hand (``splitft run --mode net-client``); rounds of the
-# configured scales take well under a second. Five minutes covers them all,
-# so only a stalled peer reaches it.
+# possibly by hand (``splitft run --connect``); rounds of the configured
+# scales take well under a second. Five minutes covers them all, so only a
+# stalled peer reaches it.
 PEER_TIMEOUT_S = 300.0
 
 

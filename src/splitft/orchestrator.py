@@ -363,29 +363,27 @@ def _group_step(
 def _client_results(state: ExperimentState, plan: RoundPlan, t: int, ends: list) -> Iterator[ClientResult]:
     """Yield every client's step result in client order.
 
-    Above the size gate the steps run in two lanes, as groups of one: this
-    thread runs clients 0, 2, 4, ... and the lane worker runs 1, 3, 5,
-    .... Below it they run inline, in groups of as many clients as fit
-    under the gate. If a step raises, every pending turn is released, the
-    worker's queued steps are cancelled and its running one is waited for
-    before the error propagates, so the round never hangs and leaves no
-    step behind.
+    The steps run in groups of as many clients as fit under the size gate,
+    groups of one above it. Above the gate, with two cores, the lane worker
+    takes the odd groups (clients 1, 3, 5, ...) and this thread the even
+    ones; otherwise this thread runs every group. If a step raises, every
+    pending turn is released, the worker's queued steps are cancelled and
+    its running one is waited for before the error propagates, so the round
+    never hangs and leaves no step behind.
     """
     turns = [threading.Event() for _ in ends]
     step = functools.partial(_group_step, state, plan, t, turns)
     mc = state.config.model
     entries = state.config.batch * mc.seq_len * mc.d_model
-    if len(ends) < 2 or entries < PARALLEL_MIN_ENTRIES or (os.cpu_count() or 1) < 2:
-        size = max(1, PARALLEL_MIN_ENTRIES // entries)
-        for i in range(0, len(ends), size):
-            yield from step(ends[i:i + size])
-        return
-    # Popped as consumed: a future keeps its result alive.
-    odd = deque(_LANE.submit(step, [e]) for e in ends[1::2])
+    size = max(1, PARALLEL_MIN_ENTRIES // entries)
+    groups = [ends[i:i + size] for i in range(0, len(ends), size)]
+    lanes = len(groups) > 1 and entries >= PARALLEL_MIN_ENTRIES and (os.cpu_count() or 1) >= 2
+    # The worker's groups, popped as consumed: a future keeps its result alive.
+    odd = deque(_LANE.submit(step, group) for group in groups[1::2]) if lanes else deque()
     try:
-        for i, end in enumerate(ends[0::2]):
-            mine = step([end])
-            if i:
+        for i, group in enumerate(groups[0::2] if lanes else groups):
+            mine = step(group)
+            if i and odd:
                 yield from odd.popleft().result()
             yield from mine
             del mine  # not held through the next step

@@ -132,9 +132,37 @@ def test_grad_check_fails_with_impossible_tolerance(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_net_mode_requires_address_flags(capsys):
-    assert main(["run", "--mode", "net-server"]) == 2
-    assert main(["run", "--mode", "net-client"]) == 2
+def test_net_mode_requires_address_flags(tmp_path, monkeypatch, capsys):
+    """``--listen`` and ``--connect`` exclude each other, and ``--client-id``
+    goes with ``--connect`` alone: any other mix exits 2 and starts nothing."""
+    def started(*args):
+        raise AssertionError("the run started")
+
+    for name in ("serve", "run_client"):
+        monkeypatch.setattr(net, name, started)
+    monkeypatch.setattr(orchestrator, "run_experiment", started)
+    out = tmp_path / "m.csv"
+    for flags in (["--listen", "127.0.0.1:1", "--connect", "127.0.0.1:1", "--client-id", "0"],
+                  ["--connect", "127.0.0.1:1"],
+                  ["--client-id", "0"]):
+        try:
+            code = main(["run", *flags, "--out", str(out)])
+        except SystemExit as exc:  # argparse's own refusal
+            code = exc.code
+        assert code == 2, flags
+        assert capsys.readouterr().out == "" and not out.exists()
+
+
+def test_connect_joins_the_session_and_runs_nothing_in_process(monkeypatch, capsys):
+    def in_process(*args):
+        raise AssertionError("the run happened in process")
+
+    joined = []
+    monkeypatch.setattr(orchestrator, "run_experiment", in_process)
+    monkeypatch.setattr(net, "run_client", lambda config, cid, host, port: joined.append((cid, host, port)) or 2)
+    assert main(["run", "--connect", "127.0.0.1:1", "--client-id", "0"]) == 0
+    assert joined == [(0, "127.0.0.1", 1)]
+    assert capsys.readouterr().out == "client 0 finished after 2 rounds\n"
 
 
 def test_a_client_id_outside_the_config_exits_before_connecting(capsys):
@@ -142,21 +170,21 @@ def test_a_client_id_outside_the_config_exits_before_connecting(capsys):
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]  # nothing listens here once the socket closes
     for cid in ("3", "-1"):  # the default config has 3 clients
-        assert main(["run", "--mode", "net-client", "--connect", f"127.0.0.1:{port}", "--client-id", cid]) == 2
+        assert main(["run", "--connect", f"127.0.0.1:{port}", "--client-id", cid]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("run: --client-id") and f"got {cid}" in err
 
 
-@pytest.mark.parametrize("mode", ["sim", "net-server"])
-def test_an_out_path_that_cannot_be_written_exits_two_before_the_first_round(mode, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("address", [[], ["--listen", "127.0.0.1:1"]], ids=["sim", "net-server"])
+def test_an_out_path_that_cannot_be_written_exits_two_before_the_first_round(address, tmp_path, monkeypatch, capsys):
     def started(*args):
         raise AssertionError("the run started")
 
     monkeypatch.setattr(orchestrator, "run_experiment", started)
     monkeypatch.setattr(net, "serve", started)
     out = tmp_path / "missing" / "m.csv"
-    assert main(["run", "--mode", mode, "--listen", "127.0.0.1:1", "--out", str(out)]) == 2
+    assert main(["run", *address, "--out", str(out)]) == 2
     stdout, err = capsys.readouterr()
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("run: --out: ") and str(out) in err
@@ -165,8 +193,7 @@ def test_an_out_path_that_cannot_be_written_exits_two_before_the_first_round(mod
 def test_a_net_client_does_not_create_its_out_path(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(net, "run_client", lambda config, cid, host, port: 3)
     out = tmp_path / "m.csv"
-    assert main(["run", "--mode", "net-client", "--connect", "127.0.0.1:1", "--client-id", "0",
-                 "--out", str(out)]) == 0
+    assert main(["run", "--connect", "127.0.0.1:1", "--client-id", "0", "--out", str(out)]) == 0
     assert capsys.readouterr().out == "client 0 finished after 3 rounds\n"
     assert not out.exists()
 
@@ -186,8 +213,8 @@ def test_net_mode_end_to_end(tmp_path, capsys):
         return threading.Thread(target=lambda: codes.setdefault(key, main(["run", *flags, "--config", str(cfg)])),
                                 daemon=True)
 
-    clients = [side(c, "--mode", "net-client", "--connect", addr, "--client-id", str(c)) for c in range(2)]
-    server = side("s", "--mode", "net-server", "--listen", addr, "--out", str(out))
+    clients = [side(c, "--connect", addr, "--client-id", str(c)) for c in range(2)]
+    server = side("s", "--listen", addr, "--out", str(out))
     for t in clients + [server]:  # the clients first: each waits for the server to listen
         t.start()
     for t in [server] + clients:
@@ -200,4 +227,4 @@ def test_net_mode_end_to_end(tmp_path, capsys):
 
 def test_bad_address_rejected():
     with pytest.raises(SystemExit):
-        main(["run", "--mode", "net-server", "--listen", "nope"])
+        main(["run", "--listen", "nope"])

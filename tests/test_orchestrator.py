@@ -331,13 +331,16 @@ def test_forward_halves_start_in_client_order_under_lanes(monkeypatch):
         assert order == list(range(cfg.n_clients))
 
 
-@pytest.mark.parametrize("where, bad", [
-    ("forward_server", 1),  # worker lane
-    ("forward_server", 2),  # calling lane
-    ("backward_client", 2),  # calling lane, after the worker has moved on
-])
-def test_a_failing_client_step_ends_the_round(monkeypatch, where, bad):
-    monkeypatch.setattr(orchestrator, "PARALLEL_MIN_ENTRIES", 0)
+@pytest.mark.parametrize("where, bad, gate", [
+    ("forward_server", 1, 0),  # worker lane
+    ("forward_server", 2, 0),  # calling lane
+    ("backward_client", 2, 0),  # calling lane, after the worker has moved on
+    ("forward_server", 5, 10**12),  # inline: one group, whose server pass follows client 5's forward
+    ("backward_client", 5, 10**12),  # inline, within the group's backward
+], ids=["forward_server-1", "forward_server-2", "backward_client-2",
+        "inline-forward_server-5", "inline-backward_client-5"])
+def test_a_failing_client_step_ends_the_round(monkeypatch, where, bad, gate):
+    monkeypatch.setattr(orchestrator, "PARALLEL_MIN_ENTRIES", gate)
     cfg = replace(SMALL, n_clients=6, total_rounds=1)
     state = init_state(cfg)
     current = threading.local()  # the client whose step runs on this thread
@@ -382,7 +385,7 @@ def test_a_failing_client_step_ends_the_round(monkeypatch, where, bad):
     caller.start()
     caller.join(timeout=30)
     assert not caller.is_alive(), "the round, or the next one, hung after a client step failed"
-    lane = "caller" if bad % 2 == 0 else "ThreadPoolExecutor"
+    lane = "caller" if gate or bad % 2 == 0 else "ThreadPoolExecutor"
     assert outcome.get("error", "").startswith(f"client {bad} failed on {lane}")
     assert outcome["running"] == 0
     assert sorted(outcome["next"].losses) == list(range(cfg.n_clients))

@@ -127,6 +127,24 @@ def test_ab_pairs_refuses_a_claim_it_cannot_check_before_any_run(claim, tmp_path
     assert runs == []
 
 
+def test_ab_pairs_refuses_a_workload_it_cannot_run_before_any_run(tmp_path, monkeypatch, capsys):
+    """A workload that ``splitbench/workloads.py`` does not define ends the
+    script with status 2, naming the choices, before any pair runs and
+    before any BENCH file is written."""
+    ab = _module("ab_pairs.py")
+    runs = []
+    monkeypatch.setattr(ab, "run_once", lambda *args: runs.append(args))
+    monkeypatch.setattr(sys, "argv", ["ab_pairs.py", "--parent", str(tmp_path), "--pairs", "1",
+                                      "--workloads", "mid", "midd"])
+    with pytest.raises(SystemExit) as exc:
+        ab.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'midd'" in err and all(name in err for name in ("deep-hetero", "mid", "net-desk"))
+    assert runs == []
+    assert not (REPO / "BENCH_midd.json").exists()
+
+
 def test_ab_pairs_names_the_commit_it_measured(tmp_path):
     ab = _module("ab_pairs.py")
     assert ab.git_commit(tmp_path / "nowhere") is None
