@@ -27,9 +27,14 @@ verdict fails.
 
 Each invocation appends one entry per workload to ``BENCH_<workload>.json``
 at the root of this tree, a JSON list that grows run by run: both commits
-(``+dirty`` when tracked files differ from the commit), the seeds, the
-seconds per run, each metric's median and quartiles on both sides with its
-wins and verdict, and the workload's verdict.
+(``+dirty`` when tracked files differ from the commit), each side's source
+(a sha256 of its ``src/`` and ``scripts/src_size.py``'s lines and
+statements per module and in total), the seeds, the seconds per run, each
+metric's median and quartiles on both sides with its wins and verdict, and
+the workload's verdict. When the new entry's parent source is an earlier
+entry's tree source, the same code was measured twice, so the change
+between the two medians is the host's drift; it is printed for each such
+earlier entry.
 
 Usage:
     python3 scripts/ab_pairs.py --parent ../parent-checkout --pairs 10 --seconds 45 \\
@@ -37,6 +42,7 @@ Usage:
 """
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import statistics
@@ -48,13 +54,46 @@ TREE = Path(__file__).resolve().parent.parent
 GAIN_WINS = 0.9  # share of pairs the claimed metric must win
 
 
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # a dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module
+
+
 def workload_names() -> list[str]:
     """The workloads ``splitbench/workloads.py`` of this tree defines."""
     sys.path.insert(0, str(TREE / "src"))  # it builds its configs from splitft
-    spec = importlib.util.spec_from_file_location("splitbench_workloads", TREE / "splitbench" / "workloads.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclass looks itself up
-    spec.loader.exec_module(module)
-    return sorted(module.BUILDERS)
+    return sorted(_load("splitbench_workloads", TREE / "splitbench" / "workloads.py").BUILDERS)
+
+
+def source(tree: Path) -> dict:
+    """A sha256 of every .py file under ``tree``'s ``src/`` (relative path,
+    length and bytes, in path order) and the ``scripts/src_size.py`` sizes of
+    its ``src/splitft``: [lines, statements] per module and in total."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(tree).as_posix()}\0{len(data)}\0".encode() + data)
+    sizes = _load("src_size", TREE / "scripts" / "src_size.py").package_sizes(tree / "src" / "splitft")
+    return {"sha256": digest.hexdigest(), "size": {name: list(size) for name, size in sizes.items()}}
+
+
+def drift(entries: list[dict], entry: dict) -> list[str]:
+    """One line per metric for each of ``entries`` whose tree source is
+    ``entry``'s parent source: that tree's median, then the parent's in
+    ``entry``, and the change between them."""
+    digest = entry["source"]["parent"]["sha256"]
+    lines = []
+    for earlier in entries:
+        if earlier.get("source", {}).get("tree", {}).get("sha256") != digest:
+            continue
+        for name, figures in entry["metrics"].items():
+            if name in earlier["metrics"]:
+                before, now = earlier["metrics"][name]["tree"]["median"], figures["parent"]["median"]
+                lines.append(f"drift {name}: {before:.4g} as the tree of {earlier['commit']}, {now:.4g} as the "
+                             f"parent now ({(now - before) / before:+.1%})")
+    return lines
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -83,11 +122,13 @@ def git_commit(tree: Path) -> str | None:
     return head.stdout.strip() + ("+dirty" if git("status", "--porcelain", "--untracked-files=no").stdout else "")
 
 
-def append_bench(path: Path, entry: dict) -> None:
-    """Append ``entry`` to the JSON list in ``path``, starting the list if there is none."""
+def append_bench(path: Path, entry: dict) -> list[str]:
+    """Append ``entry`` to the JSON list in ``path``, starting the list if
+    there is none; returns the ``drift`` lines of the entries before it."""
     entries = json.loads(path.read_text()) if path.exists() else []
-    entries.append(entry)
-    path.write_text(json.dumps(entries, indent=1) + "\n")
+    lines = drift(entries, entry) if "source" in entry else []
+    path.write_text(json.dumps([*entries, entry], indent=1) + "\n")
+    return lines
 
 
 def report(workload: str, runs: list[tuple[dict, dict]], metrics: list[dict], claims: set[str]) -> tuple[bool, dict]:
@@ -153,7 +194,8 @@ def main() -> int:
             ap.error(f"--claim {claim!r}: expected WORKLOAD:METRIC, a workload of {workloads} "
                      f"and an end-to-end metric of {metrics}")
         claims[w].add(metric)
-    commits = {"commit": git_commit(TREE), "parent": git_commit(args.parent)}
+    commits = {"commit": git_commit(TREE), "parent": git_commit(args.parent),
+               "source": {"parent": source(args.parent), "tree": source(TREE)}}
     results = {w: [] for w in workloads}
     csv_diffs, failed = [], []
     for i in range(args.pairs):
@@ -189,10 +231,11 @@ def main() -> int:
         passed, table = report(w, results[w], bench["end_to_end"], claims[w])
         passed &= not any(bad.startswith(f"{w} seed ") for bad in csv_diffs + failed)
         ok &= passed
-        append_bench(TREE / f"BENCH_{w}.json", {
-            **commits, "seeds": list(range(args.seed, args.seed + args.pairs)), "seconds": args.seconds,
-            "pairs": len(results[w]), "claims": sorted(claims[w]), "metrics": table,
-            "verdict": "pass" if passed else "fail"})
+        for line in append_bench(TREE / f"BENCH_{w}.json", {
+                **commits, "seeds": list(range(args.seed, args.seed + args.pairs)), "seconds": args.seconds,
+                "pairs": len(results[w]), "claims": sorted(claims[w]), "metrics": table,
+                "verdict": "pass" if passed else "fail"}):
+            print(f"{w}: {line}")
     return 0 if ok else 1
 
 

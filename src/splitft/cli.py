@@ -4,15 +4,15 @@ Subcommands:
   run        full experiment emitting a metrics CSV: in process, or over TCP,
              where ``--listen`` serves the session and ``--connect`` joins it
   plan       one-shot budget/importance -> split + rank assignment inspection
-  agg-check  aggregation property suites (exact concat vs. noisy averaging)
   grad-check finite-difference validation of all hand-derived gradients
 
 Every subcommand is non-interactive and returns a nonzero exit status when
-any check fails. Bad input (an unreadable or invalid config file, a bad flag
-value, ``--listen`` with ``--connect``, ``--connect`` without ``--client-id``
-or ``--client-id`` without ``--connect``, a client id outside the config, an
-``--out`` path that cannot be written) ends the command with one
-``<command>: <message>`` on stderr and exit status 2.
+any check fails. Bad input (an unreadable or invalid config file, an unknown
+subcommand or flag, a bad flag value, ``--listen`` with ``--connect``,
+``--connect`` without ``--client-id`` or ``--client-id`` without
+``--connect``, a client id outside the config, an ``--out`` path that cannot
+be written) ends the command with one ``<command>: <message>`` on stderr and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import aggregation, lora, model, net, orchestrator
-from .aggregation import AdapterUpload, RankMismatchError
+from . import lora, model, net, orchestrator
 from .config import BudgetSpec, ConfigError, ExperimentConfig, parse_config
 from .importance import ImportanceTable
 from .linalg import derive_seed
@@ -36,6 +35,13 @@ from .weights import SplitPoint, WeightId, all_weight_ids
 
 class UsageError(ValueError):
     """Bad command-line input; ``main`` prints it and exits 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad flag with a ``UsageError``, like any other bad input."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _parse_address(text: str) -> tuple[str, int]:
@@ -120,59 +126,6 @@ def cmd_plan(args) -> int:
     feas = "" if plan.server_feasible else "  (base blocks exceed budget)"
     print(f"server (budget {server_budget:g}): {ranks_string(plan.server_assignment)}{feas}")
     return 0
-
-
-def cmd_agg_check(args) -> int:
-    rng = np.random.Generator(np.random.PCG64(args.seed))
-    ranks_pool = (1, 2, 4, 8, 16, 32)
-
-    max_err = 0.0
-    for _ in range(args.trials):
-        n = int(rng.integers(2, 6))
-        d = int(rng.integers(8, 65))
-        wid = WeightId(0, "Q")
-        uploads = []
-        for cid in range(n):
-            r = int(ranks_pool[rng.integers(0, len(ranks_pool))])
-            r = min(r, d)
-            B = rng.standard_normal((d, r))
-            A = rng.standard_normal((r, d))
-            uploads.append(AdapterUpload(cid, wid, B, A, int(rng.integers(1, 100))))
-        got = aggregation.naa_delta(uploads, "sum")
-        want = sum(u.B @ u.A for u in uploads)
-        max_err = max(max_err, float(np.abs(got - want).max()))
-    naa_ok = max_err <= 1e-9
-    print(f"concat aggregation: max abs error {max_err:.3e} over {args.trials} trials "
-          f"-> {'PASS' if naa_ok else 'FAIL'} (<= 1e-9)")
-
-    noisy = 0
-    haa_trials = 100
-    for _ in range(haa_trials):
-        n, d, r = int(rng.integers(2, 6)), 16, 4
-        uploads = [
-            AdapterUpload(cid, WeightId(0, "Q"), rng.standard_normal((d, r)),
-                          rng.standard_normal((r, d)), 1)
-            for cid in range(n)
-        ]
-        got = aggregation.haa_delta(uploads)
-        true_mean = sum(u.B @ u.A for u in uploads) / n
-        rel = float(np.linalg.norm(got - true_mean) / np.linalg.norm(true_mean))
-        noisy += rel > 0.01
-    haa_ok = noisy >= 99
-    print(f"factor averaging: deviated >1% from the true mean update in {noisy}/{haa_trials} trials "
-          f"-> {'PASS' if haa_ok else 'FAIL'} (>= 99)")
-
-    try:
-        aggregation.haa_delta([
-            AdapterUpload(0, WeightId(0, "Q"), np.zeros((8, 2)), np.zeros((2, 8)), 1),
-            AdapterUpload(1, WeightId(0, "Q"), np.zeros((8, 4)), np.zeros((4, 8)), 1),
-        ])
-        het_ok = False
-    except RankMismatchError:
-        het_ok = True
-    print(f"factor averaging rejects mixed ranks -> {'PASS' if het_ok else 'FAIL'}")
-
-    return 0 if naa_ok and haa_ok and het_ok else 1
 
 
 def _gradcheck_setup(seed: int):
@@ -266,8 +219,7 @@ def cmd_grad_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="splitft", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="splitft", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--config", help="path to a key = value config file")
@@ -288,11 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--importance", help='importance numerators, e.g. "b0.Q=2.5;b1.V=1.0"')
     plan.set_defaults(func=cmd_plan)
 
-    agg = sub.add_parser("agg-check", help="aggregation property suites")
-    agg.add_argument("--trials", type=int, default=1000)
-    agg.add_argument("--seed", type=int, default=0)
-    agg.set_defaults(func=cmd_agg_check)
-
     grad = sub.add_parser("grad-check", help="finite-difference gradient validation")
     grad.add_argument("--seeds", type=int, default=20)
     grad.add_argument("--tol", type=float, default=1e-4)
@@ -301,8 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = argparse.Namespace(command="splitft")  # until a subcommand is parsed, refusals are the program's
     try:
+        build_parser().parse_args(argv, args)
         return args.func(args)
     except (UsageError, ConfigError) as e:
         print(f"{args.command}: {e}", file=sys.stderr)

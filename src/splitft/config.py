@@ -89,6 +89,13 @@ class ExperimentConfig:
             errs.append(f"agg_mode must be sum|weighted, got {self.agg_mode!r}")
         if self.aggregator not in ("naa", "haa"):
             errs.append(f"aggregator must be naa|haa, got {self.aggregator!r}")
+        budget = self.client_budget
+        if (self.aggregator == "haa" and len(self.rank_set) > 1 and self.n_clients > 1
+                and budget.kind == "uniform" and budget.lo < budget.hi):
+            # Clients of unequal budgets get unequal ranks, which haa cannot average at the first merge.
+            errs.append(f"aggregator: haa averages one rank per weight, but rank_set {self.rank_set} with "
+                        f"client_budget uniform:{budget.lo:g},{budget.hi:g} can give clients different "
+                        "ranks; use one rank or equal client budgets")
         try:
             if RankSet(self.rank_set).ranks[-1] > self.model.d_model:
                 raise ValueError(f"ranks must not exceed d_model={self.model.d_model}, got {self.rank_set}")

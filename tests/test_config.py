@@ -146,6 +146,21 @@ def test_config_validate_collects_field_errors():
     assert len(exc.value.errors) == 3
 
 
+def test_haa_is_refused_where_clients_can_get_different_ranks():
+    """Averaging needs one rank per weight across clients. Several ranks and
+    uniform budgets with lo < hi can break that at the first merge, so
+    validation refuses it; equal client budgets give every client the same
+    ranks, and one client or one rank cannot mix ranks at all."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("aggregator = haa")
+    assert exc.value.errors == [
+        "aggregator: haa averages one rank per weight, but rank_set (1, 2, 4, 8, 16, 32) with client_budget "
+        "uniform:1200,6000 can give clients different ranks; use one rank or equal client budgets"]
+    for text in ("client_budget = fixed:5000", "client_budget = uniform:3000,3000", "rank_set = 8",
+                 "n_clients = 1", "total_rounds = 2\nclient_budget = scripted:1=2000,2=6000"):
+        assert parse_config_text(f"aggregator = haa\n{text}").aggregator == "haa", text
+
+
 def test_bad_value_types_are_reported():
     with pytest.raises(ConfigError, match="rank_set"):
         parse_config_text("rank_set = 1,two")

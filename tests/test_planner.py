@@ -140,6 +140,31 @@ def test_global_importance_zero_over_zero_is_zero():
     assert plan.global_importance == 0.0
 
 
+def _compensated_sum(values, start=0):
+    """Neumaier's compensated sum, as Python 3.12 and later sum floats."""
+    total, comp = float(start), 0.0
+    for x in values:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+@pytest.mark.parametrize("builtin_sum", [sum, _compensated_sum], ids=["builtin", "compensated"])
+def test_global_importance_is_a_left_fold_whatever_sum_does(builtin_sum, monkeypatch):
+    """Thetas 1, 1e-16, 1e-16 and 0 (in price units) on the client side:
+    a left fold from 1 drops each 1e-16, so I_g is exactly 1/4, and it stays
+    so when ``sum`` in the planner is Python 3.12's compensated one, which
+    would keep 2e-16 of them."""
+    monkeypatch.setattr(planner, "sum", builtin_sum, raising=False)
+    unit = adapter_cost(WeightId(0, "Q"), 1, CM)
+    table = _table(4, {WeightId(0, "Q"): unit, WeightId(0, "K"): 1e-16 * unit, WeightId(0, "V"): 1e-16 * unit})
+    plan = _plan(SplitPoint(1), {0: 1e9}, 1e9, table, RankSet((1,)))  # every weight at rank 1
+    assert len(plan.client_assignments[0]) == 4
+    assert _compensated_sum([1.0, 1e-16, 1e-16, 0.0]) / 4 != 0.25  # the two sums part here
+    assert plan.global_importance == 0.25  # the server side's thetas are all 0
+
+
 def test_plan_for_split_marks_infeasible_sides():
     table = _table(4, {})
     split = SplitPoint(2)

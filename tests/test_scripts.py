@@ -96,6 +96,37 @@ def test_ab_pairs_appends_one_bench_entry_per_run(tmp_path):
     assert json.loads(path.read_text()) == entries
 
 
+def test_ab_pairs_records_each_sides_source_and_prints_host_drift(tmp_path):
+    """Each side's source is a digest of its ``src/`` and its sizes; a new
+    entry whose parent source is an earlier entry's tree source prints the
+    drift between the two medians. Entries without a source are skipped."""
+    ab, src_size = _module("ab_pairs.py"), _module("src_size.py")
+    trees = []
+    for name in ("a", "b"):
+        package = tmp_path / name / "src" / "splitft"
+        package.mkdir(parents=True)
+        (package / "m.py").write_text("x = 1\n\n\ndef f():\n    return x\n")
+        trees.append(tmp_path / name)
+    a, b = ab.source(trees[0]), ab.source(trees[1])
+    assert a == b and re.fullmatch(r"[0-9a-f]{64}", a["sha256"])
+    assert a["size"] == {"m": [5, 3], "total": [5, 3]}
+    assert ab.source(REPO)["size"] == {name: list(size) for name, size in
+                                       src_size.package_sizes(REPO / "src" / "splitft").items()}
+    (trees[1] / "src" / "splitft" / "m.py").write_text("x = 2\n\n\ndef f():\n    return x\n")
+    assert ab.source(trees[1])["sha256"] != a["sha256"]
+
+    def entry(commit, parent_src, tree_src, parent_ms, tree_ms):
+        figures = {"parent": {"median": parent_ms}, "tree": {"median": tree_ms}}
+        return {"commit": commit, "source": {"parent": parent_src, "tree": tree_src}, "metrics": {"round_ms": figures}}
+
+    path = tmp_path / "BENCH_mid.json"
+    assert ab.append_bench(path, {"commit": "old", "metrics": {}}) == []
+    assert ab.append_bench(path, entry("c1", b, a, 12.0, 10.0)) == []
+    assert ab.append_bench(path, entry("c2", a, b, 11.0, 9.0)) == [
+        "drift round_ms: 10 as the tree of c1, 11 as the parent now (+10.0%)"]
+    assert [e["commit"] for e in json.loads(path.read_text())] == ["old", "c1", "c2"]
+
+
 def test_ab_pairs_labels_a_bound_wider_than_its_parent_spread_unresolved():
     """A parent spread (Q3 - Q1) / median of 0.4 against a bound of 0.25:
     a median inside the bound is unresolved unless every tree run beats
